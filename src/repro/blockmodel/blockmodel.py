@@ -27,6 +27,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..errors import GraphValidationError
+from ..gpusim.primitives import composite_argsort
 from ..types import INDEX_DTYPE, WEIGHT_DTYPE, IndexArray, WeightArray
 
 
@@ -153,7 +154,7 @@ class BlockmodelCSR:
         out_ptr = np.concatenate(
             ([0], np.cumsum(np.bincount(rows, minlength=b)))
         ).astype(INDEX_DTYPE)
-        order = np.lexsort((rows, cols))
+        order = composite_argsort(cols, rows)
         in_rows, in_cols, in_wgts = cols[order], rows[order], wgts[order]
         in_ptr = np.concatenate(
             ([0], np.cumsum(np.bincount(in_rows, minlength=b)))

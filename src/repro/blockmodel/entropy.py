@@ -73,22 +73,26 @@ def entropy_terms(
     d_dst = np.asarray(d_dst, dtype=FLOAT_DTYPE)
     # Every legitimate input is a non-negative integer-valued count; a
     # negative or non-finite entry means an upstream structure was
-    # corrupted, and log() would silently turn it into NaN.
+    # corrupted, and log() would silently turn it into NaN.  min/max
+    # propagate NaN, so one pair of reductions checks both at once.
     for name, arr in (("weights", weights), ("d_src", d_src), ("d_dst", d_dst)):
-        if arr.size and (not np.isfinite(arr).all() or (arr < 0).any()):
+        if arr.size and not (arr.min() >= 0 and arr.max() < np.inf):
             raise NumericalError(
                 f"entropy_terms: {name} contains negative or non-finite "
                 "entries — blockmodel counts are corrupt"
             )
-    out = np.zeros_like(weights)
-    positive = weights > 0
-    denom = d_src[positive] * d_dst[positive]
-    # Degrees are >= the incident edge weight, so denom > 0 wherever M > 0
-    # on uncorrupted inputs; a zeroed degree yields inf/nan here, which the
+    # Evaluated on every entry and masked after: zero-weight entries may
+    # produce nan (0/0) that np.where discards.  Degrees are >= the
+    # incident edge weight, so the denominator is > 0 wherever M > 0 on
+    # uncorrupted inputs; a zeroed degree yields inf/nan there, which the
     # finiteness check below converts into a typed error (no warning spam).
     with np.errstate(divide="ignore", invalid="ignore"):
-        out[positive] = weights[positive] * np.log(weights[positive] / denom)
-    if out.size and not np.isfinite(out).all():
+        terms = d_src * d_dst
+        np.divide(weights, terms, out=terms)
+        np.log(terms, out=terms)
+        terms *= weights
+    out = np.where(weights > 0, terms, 0.0)
+    if out.size and not (out.min() > -np.inf and out.max() < np.inf):
         raise NumericalError(
             "entropy_terms: non-finite entropy term (degree underflow "
             "against a positive edge count)"

@@ -878,7 +878,7 @@ class IncrementalBlockmodel:
             out_ptr = np.concatenate(
                 ([0], np.cumsum(np.bincount(out_rows, minlength=b2)))
             ).astype(INDEX_DTYPE)
-            order = np.lexsort((out_rows, out_cols))
+            order = prim.composite_argsort(out_cols, out_rows)
             in_rows = out_cols[order]
             in_ptr = np.concatenate(
                 ([0], np.cumsum(np.bincount(in_rows, minlength=b2)))

@@ -30,6 +30,7 @@ from ..blockmodel.blockmodel import BlockmodelCSR
 from ..blockmodel.delta import MoveDeltaContext
 from ..errors import NumericalError
 from ..gpusim.device import Device, KernelCost
+from ..gpusim.primitives import composite_keys
 from ..types import FLOAT_DTYPE, INDEX_DTYPE
 
 
@@ -114,11 +115,11 @@ def hastings_correction_batch(
             src_seg = np.repeat(
                 np.arange(p, dtype=INDEX_DTYPE), src_ptr[1:] - src_ptr[:-1]
             )
-            src_keys = src_seg * b + src_blk
+            src_keys = composite_keys(src_seg, src_blk, (0, b))
             order = np.argsort(src_keys, kind="stable")
             sorted_keys = src_keys[order]
             sorted_w = src_w[order].astype(FLOAT_DTYPE)
-            want = seg_half * b + t_half
+            want = composite_keys(seg_half, t_half, (0, b))
             pos = np.searchsorted(sorted_keys, want)
             ok = pos < len(sorted_keys)
             hit = ok.copy()

@@ -36,6 +36,7 @@ from ..blockmodel.entropy import description_length
 from ..blockmodel.update import rebuild_blockmodel
 from ..config import SBPConfig
 from ..gpusim.device import Device, KernelCost
+from ..gpusim.primitives import composite_argsort
 from ..graph.csr import CSRAdjacency, DiGraphCSR
 from ..obs import NULL_OBS, Observability
 from ..types import FLOAT_DTYPE, INDEX_DTYPE, IndexArray
@@ -82,7 +83,7 @@ def _aggregate_by_block(
     seg_k = seg_of[keep]
     blk = bmap[nbr[keep]]
     w = wgt[keep].astype(FLOAT_DTYPE)
-    order = np.lexsort((blk, seg_k))
+    order = composite_argsort(seg_k, blk)
     seg_k, blk, w = seg_k[order], blk[order], w[order]
     if len(seg_k):
         heads = np.empty(len(seg_k), dtype=bool)

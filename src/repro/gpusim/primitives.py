@@ -127,6 +127,67 @@ def segment_ids_from_ptr(
     return device.execute("segment_ids", _cost_linear(total, 1.0), body, phase)
 
 
+_INT64_LIMIT = 2**63
+
+
+def composite_keys(
+    seg_ids: np.ndarray,
+    keys: np.ndarray,
+    key_range: Optional[Tuple[int, int]] = None,
+) -> np.ndarray:
+    """Pack ``(segment, key)`` pairs into one int64 that orders like the pair.
+
+    ``comp = seg * span + (key - kmin)`` — the composite radix key of
+    paper Algorithm 2.  By default ``kmin = keys.min()`` and
+    ``span = keys.max() - kmin + 1``; pass ``key_range=(kmin, span)`` to
+    pack two arrays the same way so their composites compare against
+    each other (a composite-key join).
+
+    Raises :class:`DeviceError` on non-integer inputs, on a key outside
+    *key_range*, and when the packed value would overflow int64.
+    """
+    seg_ids = np.asarray(seg_ids)
+    keys = np.asarray(keys)
+    if seg_ids.dtype.kind not in "iu" or keys.dtype.kind not in "iu":
+        raise DeviceError(
+            "composite_keys: segment ids and keys must be integers, got "
+            f"{seg_ids.dtype} and {keys.dtype}"
+        )
+    if len(keys) == 0:
+        return np.empty(0, dtype=np.int64)
+    lo, hi = int(keys.min()), int(keys.max())
+    if key_range is None:
+        kmin, span = lo, hi - lo + 1
+    else:
+        kmin, span = int(key_range[0]), int(key_range[1])
+        if lo < kmin or hi >= kmin + span:
+            raise DeviceError(
+                f"composite_keys: keys span [{lo}, {hi}], outside the "
+                f"declared range [{kmin}, {kmin + span})"
+            )
+    seg_lo, seg_hi = int(seg_ids.min()), int(seg_ids.max())
+    if max(seg_hi + 1, -seg_lo) * span > _INT64_LIMIT or hi >= _INT64_LIMIT:
+        raise DeviceError(
+            f"composite_keys: segments [{seg_lo}, {seg_hi}] times key span "
+            f"{span} overflow int64"
+        )
+    comp = seg_ids.astype(np.int64) * np.int64(span)
+    comp += keys.astype(np.int64, copy=False)
+    if kmin:
+        comp -= np.int64(kmin)
+    return comp
+
+
+def composite_argsort(seg_ids: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Stable permutation ordering elements by ``(segment, key)``.
+
+    One stable sort of the :func:`composite_keys`; the same permutation
+    ``np.lexsort((keys, seg_ids))`` returns, so equal pairs keep their
+    input order and any later float reduction sums in the same order.
+    """
+    return np.argsort(composite_keys(seg_ids, keys), kind="stable")
+
+
 def segmented_sort(
     device: Device,
     seg_ids: np.ndarray,
@@ -136,16 +197,17 @@ def segmented_sort(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sort ``(keys, values)`` within each segment (cub segmented sort).
 
-    *seg_ids* must be non-decreasing (elements grouped by segment).
-    Returns ``(seg_ids, keys, values)`` with keys ascending per segment.
+    *seg_ids* must be non-decreasing (elements grouped by segment) and
+    both *seg_ids* and *keys* integer.  Returns ``(seg_ids, keys,
+    values)`` with keys ascending per segment; equal keys keep their
+    input order.
     """
     seg_ids = np.asarray(seg_ids)
     keys = np.asarray(keys)
     values = np.asarray(values)
 
     def body() -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # Composite-key trick: one global stable sort on (seg, key).
-        order = np.lexsort((keys, seg_ids))
+        order = composite_argsort(seg_ids, keys)
         return seg_ids[order], keys[order], values[order]
 
     return device.execute(

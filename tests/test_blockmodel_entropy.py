@@ -80,6 +80,43 @@ class TestEntropyTerms:
         assert not np.any(np.isnan(out))
 
 
+def _masked_entropy_terms(weights, d_src, d_dst):
+    """The original masked formulation: gather the positive entries,
+    evaluate, scatter back.  Kept as the byte-identity oracle."""
+    weights = np.asarray(weights, dtype=np.float64)
+    d_src = np.asarray(d_src, dtype=np.float64)
+    d_dst = np.asarray(d_dst, dtype=np.float64)
+    out = np.zeros_like(weights)
+    positive = weights > 0
+    denom = d_src[positive] * d_dst[positive]
+    out[positive] = weights[positive] * np.log(weights[positive] / denom)
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.one_of(st.just(0), st.integers(1, 10**6)),
+            st.integers(0, 10**6),
+            st.integers(0, 10**6),
+        ),
+        max_size=200,
+    ),
+    st.booleans(),
+)
+def test_entropy_terms_byte_identical_to_masked_form(rows, integer_input):
+    # degrees are at least the entry's weight, as in any real blockmodel
+    dtype = np.int64 if integer_input else np.float64
+    w = np.array([r[0] for r in rows], dtype=dtype)
+    d_src = np.array([r[0] + r[1] for r in rows], dtype=dtype)
+    d_dst = np.array([r[0] + r[2] for r in rows], dtype=dtype)
+    got = entropy_terms(w, d_src, d_dst)
+    want = _masked_entropy_terms(w, d_src, d_dst)
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
 class TestDataTerm:
     def test_dense_vs_csr_agree(self):
         m = np.array([[3, 0, 5], [2, 0, 1], [0, 4, 2]], dtype=np.int64)

@@ -101,6 +101,72 @@ class TestSegmentedSort:
         )
         assert len(s) == len(k) == len(v) == 0
 
+    def test_equal_keys_keep_input_order(self, dev):
+        seg = np.array([0, 0, 0, 0, 1, 1])
+        keys = np.array([2, 1, 2, 1, 7, 7])
+        vals = np.array([10, 11, 12, 13, 14, 15])
+        _, k, v = prim.segmented_sort(dev, seg, keys, vals)
+        np.testing.assert_array_equal(k, [1, 1, 2, 2, 7, 7])
+        np.testing.assert_array_equal(v, [11, 13, 10, 12, 14, 15])
+
+    def test_rejects_non_integer_keys(self, dev):
+        from repro.errors import DeviceError
+
+        with pytest.raises(DeviceError, match="integers"):
+            prim.segmented_sort(
+                dev, np.array([0, 0]), np.array([1.5, 0.5]), np.array([1, 2])
+            )
+
+    def test_rejects_composite_overflow(self, dev):
+        from repro.errors import DeviceError
+
+        # 2**40 segments times a key span of 2**30 needs 70 bits
+        seg = np.array([0, 2**40], dtype=np.int64)
+        keys = np.array([0, 2**30 - 1], dtype=np.int64)
+        with pytest.raises(DeviceError, match="overflow"):
+            prim.segmented_sort(dev, seg, keys, np.array([1, 2]))
+
+    def test_largest_non_overflowing_composite(self, dev):
+        # (seg_max + 1) * span == 2**63: the top composite is INT64_MAX
+        seg = np.array([0, 0, 2**31 - 1, 2**31 - 1], dtype=np.int64)
+        keys = np.array([2**32 - 1, 0, 2**32 - 1, 0], dtype=np.int64)
+        s, k, v = prim.segmented_sort(dev, seg, keys, np.arange(4))
+        np.testing.assert_array_equal(v, [1, 0, 3, 2])
+
+
+class TestCompositeKeys:
+    def test_packs_relative_to_key_minimum(self):
+        comp = prim.composite_keys(np.array([0, 1, 1]), np.array([-3, -1, -3]))
+        # kmin = -3, span = 3
+        np.testing.assert_array_equal(comp, [0, 5, 3])
+
+    def test_declared_range_packs_two_arrays_alike(self):
+        a = prim.composite_keys(np.array([0, 2]), np.array([1, 4]), (0, 5))
+        b = prim.composite_keys(np.array([2]), np.array([4]), (0, 5))
+        np.testing.assert_array_equal(a, [1, 14])
+        assert b[0] == a[1]
+
+    def test_key_outside_declared_range(self):
+        from repro.errors import DeviceError
+
+        with pytest.raises(DeviceError, match="outside"):
+            prim.composite_keys(np.array([0]), np.array([5]), (0, 5))
+
+    def test_rejects_non_integer_segments(self):
+        from repro.errors import DeviceError
+
+        with pytest.raises(DeviceError, match="integers"):
+            prim.composite_keys(np.array([0.0]), np.array([1]))
+
+    def test_empty(self):
+        assert len(prim.composite_argsort(np.array([], dtype=int),
+                                          np.array([], dtype=int))) == 0
+
+
+def _stable_oracle(rows):
+    """Indices of *rows* sorted by (seg, key); ties keep input order."""
+    return sorted(range(len(rows)), key=lambda i: (rows[i][0], rows[i][1]))
+
 
 @settings(max_examples=50, deadline=None)
 @given(
@@ -116,9 +182,32 @@ def test_segmented_sort_matches_python_oracle(rows):
     vals = np.array([r[2] for r in rows], dtype=np.int64)
     dev = Device(A4000)
     s, k, v = prim.segmented_sort(dev, seg, keys, vals)
-    expected = sorted(rows, key=lambda r: (r[0], r[1]))
-    np.testing.assert_array_equal(k, [r[1] for r in expected])
+    # keys 0-9 over up to 60 rows: duplicate (seg, key) pairs are common,
+    # so v pins stability, not just the key order
+    expected = [rows[i] for i in _stable_oracle(rows)]
     np.testing.assert_array_equal(s, [r[0] for r in expected])
+    np.testing.assert_array_equal(k, [r[1] for r in expected])
+    np.testing.assert_array_equal(v, [r[2] for r in expected])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(0, 50),
+            st.one_of(st.integers(-3, 3), st.integers(-(2**40), 2**40)),
+        ),
+        max_size=80,
+    )
+)
+def test_segmented_sort_permutation_equals_lexsort(rows):
+    rows.sort(key=lambda r: r[0])
+    seg = np.array([r[0] for r in rows], dtype=np.int64)
+    keys = np.array([r[1] for r in rows], dtype=np.int64)
+    dev = Device(A4000)
+    _, _, perm = prim.segmented_sort(dev, seg, keys, np.arange(len(rows)))
+    np.testing.assert_array_equal(perm, np.lexsort((keys, seg)))
+    np.testing.assert_array_equal(perm, _stable_oracle(rows))
 
 
 # ----------------------------------------------------------------------

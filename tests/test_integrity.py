@@ -511,6 +511,34 @@ class TestNumericalGuards:
                 np.array([2.0]), np.array([np.nan]), np.array([4.0])
             )
 
+    @pytest.mark.parametrize("bad", [-np.inf, np.nan])
+    def test_entropy_rejects_nonfinite_weights(self, bad):
+        with pytest.raises(NumericalError, match="weights"):
+            entropy_terms(
+                np.array([1.0, bad, 2.0]), np.full(3, 4.0), np.full(3, 4.0)
+            )
+
+    @pytest.mark.parametrize("which", ["d_src", "d_dst"])
+    def test_entropy_rejects_negative_degree(self, which):
+        degrees = {"d_src": np.full(2, 4.0), "d_dst": np.full(2, 4.0)}
+        degrees[which] = np.array([4.0, -1.0])
+        with pytest.raises(NumericalError, match=which):
+            entropy_terms(np.array([1.0, 0.0]), **degrees)
+
+    def test_entropy_zero_weight_with_zero_degree_is_zero(self):
+        out = entropy_terms(
+            np.array([0.0, 2.0]), np.array([0.0, 4.0]), np.array([0.0, 4.0])
+        )
+        assert out[0] == 0.0 and np.isfinite(out).all()
+
+    def test_entropy_positive_weight_on_zero_degree_raises(self):
+        with pytest.raises(NumericalError, match="non-finite entropy term"):
+            entropy_terms(np.array([2.0]), np.array([0.0]), np.array([4.0]))
+
+    def test_entropy_empty_inputs(self):
+        out = entropy_terms(np.array([]), np.array([]), np.array([]))
+        assert out.shape == (0,) and out.dtype == np.float64
+
     def test_accept_moves_guards_before_rng_draw(self, device, rng):
         state = rng.bit_generator.state
         with pytest.raises(NumericalError):
