@@ -1,6 +1,6 @@
 # Convenience targets for the GSAP reproduction.
 
-.PHONY: install test test-fast test-faults test-dist test-integrity serve-smoke obs-smoke bench bench-incremental bench-paper perf-baseline perf-check perf-trend examples lint clean
+.PHONY: install test test-fast test-oracles test-faults test-dist test-integrity serve-smoke obs-smoke bench bench-incremental bench-paper perf-baseline perf-check perf-trend examples lint clean
 
 PERF_BASELINE := benchmarks/baselines/perf_baseline_quick.json
 PERF_REPEATS  := 5
@@ -13,6 +13,13 @@ test:
 
 test-fast:
 	pytest tests/ -m "not slow"
+
+# byte-identity and ΔMDL oracles: golden partitions, dense-vs-batched
+# deltas, Hastings correction, incremental-vs-rebuild blockmodels
+test-oracles:
+	PYTHONPATH=src pytest -q tests/test_gsap_golden.py \
+	  tests/test_blockmodel_delta.py tests/test_core_mh.py \
+	  tests/test_blockmodel_incremental.py
 
 test-faults:
 	pytest tests/ -m faults

@@ -12,11 +12,14 @@ Two implementations live here:
 * ``*_dense`` — straightforward oracles over :class:`DenseBlockmodel`,
   used by the CPU reference baseline and as the ground truth in property
   tests;
-* ``*_batch`` — the GSAP formulation: each proposal's affected rows are
-  gathered from the CSR blockmodel, delta entries appended, merged with a
-  segmented sort + reduce-by-key (the per-thread "serial merge" of paper
-  Fig. 5 executed as one batched kernel), and the entropy terms summed
-  with segmented reductions — all on the simulated device.
+* ``*_batch`` — the GSAP formulation on the simulated device.  A merge
+  gathers each proposal's affected rows from the CSR blockmodel, appends
+  the delta entries, merges them with a segmented sort + reduce-by-key
+  (the per-thread "serial merge" of paper Fig. 5 executed as one batched
+  kernel) and sums the entropy terms with segmented reductions.  A
+  vertex move changes only about ``deg(v)`` cells, so it evaluates the
+  data term's split ``Σ g(M) − Σ g(d_out) − Σ g(d_in)`` over just those
+  cells and the degrees of ``r`` and ``s``, in one launch.
 """
 
 from __future__ import annotations
@@ -459,157 +462,101 @@ class MoveDeltaContext:
         return len(self.r)
 
 
-def _segment_value_at(
-    ptr: np.ndarray, blk: np.ndarray, w: np.ndarray, target: np.ndarray
-) -> np.ndarray:
-    """Per segment, the weight stored at block ``target[seg]`` (0 if absent)."""
-    num_segments = len(ptr) - 1
-    seg_of = np.repeat(
-        np.arange(num_segments, dtype=INDEX_DTYPE), ptr[1:] - ptr[:-1]
-    )
-    hit = blk == target[seg_of]
-    return np.bincount(
-        seg_of[hit], weights=w[hit].astype(FLOAT_DTYPE), minlength=num_segments
-    )
+def _xlogx(x: np.ndarray) -> np.ndarray:
+    """Elementwise ``x·ln x`` with ``0·ln 0 = 0`` (``x`` non-negative)."""
+    return x * np.log(np.where(x > 0, x, 1.0))
 
 
 def move_delta_batch(
     device: Device,
     bm: BlockmodelCSR,
     ctx: MoveDeltaContext,
-    term_sums: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     phase: Optional[str] = None,
 ) -> np.ndarray:
     """ΔS for a batch of vertex moves (paper Eq. 7), one value per mover.
 
-    Movers with ``r == s`` get ΔS = 0.  All movers are evaluated against
-    the same frozen blockmodel — the asynchronous-Gibbs semantics of the
-    vertex-move phase.
+    The data term splits as ``P = Σ_ij g(M_ij) − Σ_i g(d_out_i) −
+    Σ_j g(d_in_j)`` with ``g(x) = x·ln x``, so a move's ΔS needs only
+    the cells it changes plus the degree terms at ``r`` and ``s`` — the
+    O(k) move evaluation of Peixoto's DC-SBM MCMC.  Per mover those
+    cells are ``M[r,t]``/``M[s,t]`` for every out-block ``t ∉ {r,s}``,
+    ``M[t,r]``/``M[t,s]`` for every in-block ``t ∉ {r,s}`` and the four
+    corners ``{r,s}×{r,s}``; all of them are looked up and summed in one
+    launch.  Movers with ``r == s`` get ΔS = 0.  All movers are
+    evaluated against the same frozen blockmodel — the
+    asynchronous-Gibbs semantics of the vertex-move phase.
     """
-    if term_sums is None:
-        term_sums = precompute_block_term_sums(device, bm, phase)
-    r_sums, c_sums = term_sums
     r, s = ctx.r, ctx.s
     p = ctx.num_movers
-    d_out = bm.deg_out.astype(FLOAT_DTYPE)
-    d_in = bm.deg_in.astype(FLOAT_DTYPE)
+    moving = r != s
 
-    old = (
-        r_sums[r] + r_sums[s] + c_sums[r] + c_sums[s]
-        - _pairwise_intersection_terms(bm, r, s)
+    def body() -> np.ndarray:
+        movers = np.arange(p, dtype=INDEX_DTYPE)
+        out_seg = np.repeat(movers, ctx.kout_ptr[1:] - ctx.kout_ptr[:-1])
+        in_seg = np.repeat(movers, ctx.kin_ptr[1:] - ctx.kin_ptr[:-1])
+        kout_w = ctx.kout_w.astype(FLOAT_DTYPE)
+        kin_w = ctx.kin_w.astype(FLOAT_DTYPE)
+
+        # each mover's k-arrays hold a block at most once, so a masked
+        # bincount reads off its weight toward r and toward s
+        def weight_to(seg, blk, w, target):
+            hit = blk == target[seg]
+            return np.bincount(seg[hit], weights=w[hit], minlength=p)
+
+        kout_r = weight_to(out_seg, ctx.kout_blk, kout_w, r)
+        kout_s = weight_to(out_seg, ctx.kout_blk, kout_w, s)
+        kin_r = weight_to(in_seg, ctx.kin_blk, kin_w, r)
+        kin_s = weight_to(in_seg, ctx.kin_blk, kin_w, s)
+        self_w = ctx.self_w.astype(FLOAT_DTYPE)
+
+        def off_corner(seg, blk):
+            return moving[seg] & (blk != r[seg]) & (blk != s[seg])
+
+        keep_o = off_corner(out_seg, ctx.kout_blk)
+        so, to, wo = out_seg[keep_o], ctx.kout_blk[keep_o], kout_w[keep_o]
+        keep_i = off_corner(in_seg, ctx.kin_blk)
+        si, ti, wi = in_seg[keep_i], ctx.kin_blk[keep_i], kin_w[keep_i]
+        mv = np.flatnonzero(moving)
+        rm, sm = r[mv], s[mv]
+        # corner shifts: _move_new_rows_cols_dense at (r,r), (r,s), (s,r), (s,s)
+        rows = np.concatenate((r[so], s[so], ti, ti, rm, rm, sm, sm))
+        cols = np.concatenate((to, to, r[si], s[si], rm, sm, rm, sm))
+        shift = np.concatenate((
+            -wo, wo, -wi, wi,
+            -(kout_r + kin_r + self_w)[mv],
+            (kin_r - kout_s)[mv],
+            (kout_r - kin_s)[mv],
+            (kout_s + kin_s + self_w)[mv],
+        ))
+        seg = np.concatenate((so, so, si, si, mv, mv, mv, mv))
+        old = bm.lookup(rows, cols).astype(FLOAT_DTYPE)
+        new = old + shift
+
+        d_out = bm.deg_out.astype(FLOAT_DTYPE)
+        d_in = bm.deg_in.astype(FLOAT_DTYPE)
+        d_out_v = ctx.d_out_v[mv].astype(FLOAT_DTYPE)
+        d_in_v = ctx.d_in_v[mv].astype(FLOAT_DTYPE)
+        deg_old = np.concatenate((d_out[rm], d_out[sm], d_in[rm], d_in[sm]))
+        deg_new = deg_old + np.concatenate((-d_out_v, d_out_v, -d_in_v, d_in_v))
+
+        # A negative count (old, or driven negative by the move) means the
+        # blockmodel no longer matches the graph; min() propagates NaN.
+        for arr in (old, new, deg_old, deg_new):
+            if arr.size and not arr.min() >= 0:
+                raise NumericalError(
+                    "move_delta_batch: negative or non-finite blockmodel "
+                    "count — blockmodel counts are corrupt upstream of Eq. 7"
+                )
+        cells = _xlogx(old) - _xlogx(new)
+        # bincount over zero cells (no mover moves) returns int64
+        delta = np.bincount(seg, weights=cells, minlength=p).astype(FLOAT_DTYPE)
+        delta[mv] -= (_xlogx(deg_old) - _xlogx(deg_new)).reshape(4, -1).sum(axis=0)
+        return delta
+
+    work = 2 * (len(ctx.kout_blk) + len(ctx.kin_blk)) + 4 * p
+    delta = device.execute(
+        "move_delta_cells", KernelCost(max(work, 1), ops_per_item=12.0), body, phase
     )
-
-    def build_scalars():
-        kout_r = _segment_value_at(ctx.kout_ptr, ctx.kout_blk, ctx.kout_w, r)
-        kout_s = _segment_value_at(ctx.kout_ptr, ctx.kout_blk, ctx.kout_w, s)
-        kin_r = _segment_value_at(ctx.kin_ptr, ctx.kin_blk, ctx.kin_w, r)
-        kin_s = _segment_value_at(ctx.kin_ptr, ctx.kin_blk, ctx.kin_w, s)
-        return kout_r, kout_s, kin_r, kin_s
-
-    kout_r, kout_s, kin_r, kin_s = device.execute(
-        "move_scalar_lookups",
-        KernelCost(max(len(ctx.kout_blk) + len(ctx.kin_blk), 1), 2.0),
-        build_scalars,
-        phase,
-    )
-    self_w = ctx.self_w.astype(FLOAT_DTYPE)
-
-    def pair_source(key_a, val_a, key_b, val_b):
-        """Two entries per segment: (key_a, val_a), (key_b, val_b)."""
-        ptr = np.arange(0, 2 * p + 1, 2, dtype=INDEX_DTYPE)
-        keys = np.empty(2 * p, dtype=INDEX_DTYPE)
-        vals = np.empty(2 * p, dtype=FLOAT_DTYPE)
-        keys[0::2], keys[1::2] = key_a, key_b
-        vals[0::2], vals[1::2] = val_a, val_b
-        return ptr, keys, vals
-
-    def negate(ptr, blk, w):
-        return ptr, blk, -w.astype(FLOAT_DTYPE)
-
-    def positive(ptr, blk, w):
-        return ptr, blk, w.astype(FLOAT_DTYPE)
-
-    d_out_new_r = d_out[r] - ctx.d_out_v
-    d_out_new_s = d_out[s] + ctx.d_out_v
-    d_in_new_r = d_in[r] - ctx.d_in_v
-    d_in_new_s = d_in[s] + ctx.d_in_v
-
-    def eval_side(
-        base_rows: np.ndarray,
-        direction: str,
-        k_source,
-        corr_a,  # (key, val) pair 1 per segment
-        corr_b,  # (key, val) pair 2 per segment
-        d_fixed: np.ndarray,
-        shift: np.ndarray,
-        varying_base: np.ndarray,
-        exclude_rs: bool,
-        transpose: bool,
-        label: str,
-    ) -> np.ndarray:
-        def gather():
-            ptr0, keys0, vals0 = bm.gather_rows(base_rows, direction)
-            sources = [
-                (ptr0, keys0, vals0.astype(FLOAT_DTYPE)),
-                k_source,
-                pair_source(*corr_a, *corr_b),
-            ]
-            return _concat_segment_sources(p, sources)
-
-        seg_ptr, keys, vals = device.execute(
-            f"gather_move_{label}", KernelCost(max(p, 1), 4.0), gather, phase
-        )
-        return _merge_and_sum_terms(
-            device,
-            seg_ptr,
-            keys,
-            vals,
-            d_src_per_seg=d_fixed,
-            d_in_base=varying_base,
-            r=r,
-            s=s,
-            d_in_shift=shift,
-            exclude_rs=exclude_rs,
-            phase=phase,
-            transpose=transpose,
-        )
-
-    # new row r: row_r - k_out; (r, -kin_r - self), (s, +kin_r)
-    t_row_r = eval_side(
-        r, "out", negate(ctx.kout_ptr, ctx.kout_blk, ctx.kout_w),
-        (r, -(kin_r + self_w)), (s, kin_r),
-        d_fixed=d_out_new_r, shift=ctx.d_in_v.astype(FLOAT_DTYPE),
-        varying_base=bm.deg_in, exclude_rs=False, transpose=False,
-        label="row_r",
-    )
-    # new row s: row_s + k_out; (r, -kin_s), (s, +kin_s + self)
-    t_row_s = eval_side(
-        s, "out", positive(ctx.kout_ptr, ctx.kout_blk, ctx.kout_w),
-        (r, -kin_s), (s, kin_s + self_w),
-        d_fixed=d_out_new_s, shift=ctx.d_in_v.astype(FLOAT_DTYPE),
-        varying_base=bm.deg_in, exclude_rs=False, transpose=False,
-        label="row_s",
-    )
-    # new col r: col_r - k_in; (r, -kout_r - self), (s, +kout_r)
-    t_col_r = eval_side(
-        r, "in", negate(ctx.kin_ptr, ctx.kin_blk, ctx.kin_w),
-        (r, -(kout_r + self_w)), (s, kout_r),
-        d_fixed=d_in_new_r, shift=ctx.d_out_v.astype(FLOAT_DTYPE),
-        varying_base=bm.deg_out, exclude_rs=True, transpose=True,
-        label="col_r",
-    )
-    # new col s: col_s + k_in; (r, -kout_s), (s, +kout_s + self)
-    t_col_s = eval_side(
-        s, "in", positive(ctx.kin_ptr, ctx.kin_blk, ctx.kin_w),
-        (r, -kout_s), (s, kout_s + self_w),
-        d_fixed=d_in_new_s, shift=ctx.d_out_v.astype(FLOAT_DTYPE),
-        varying_base=bm.deg_out, exclude_rs=True, transpose=True,
-        label="col_s",
-    )
-
-    delta = old - (t_row_r + t_row_s + t_col_r + t_col_s)
-    delta = np.asarray(delta, dtype=FLOAT_DTYPE)
-    delta[r == s] = 0.0
     if delta.size and not np.isfinite(delta).all():
         raise NumericalError(
             "move_delta_batch: non-finite ΔMDL — blockmodel counts are "

@@ -20,12 +20,12 @@ simulated device:
   usually lands in place; a row overflowing its capacity triggers an
   amortized capacity-doubling compaction pass;
 * block degrees are patched with two signed histograms over the movers'
-  exact integer degrees;
-* the cached :func:`~repro.blockmodel.delta.precompute_block_term_sums`
-  output is patched for only the affected rows/columns — valid because
-  :func:`~repro.gpusim.primitives.segmented_reduce_sum` reduces every
-  segment independently, so an untouched block's float sum is
-  reproduced bit-for-bit.
+  exact integer degrees.
+
+Nothing else is cached across batches: the vertex-move ΔMDL
+(:func:`~repro.blockmodel.delta.move_delta_batch`) reads only the cells
+and degrees a move touches, so there are no per-block term sums to keep
+in step with the blockmodel.
 
 Because the blockmodel arrays are exact integers, delta application is
 *exact*, not approximate: an incremental run is byte-identical to a
@@ -53,7 +53,6 @@ from ..graph.csr import DiGraphCSR
 from ..obs import NULL_OBS, Observability
 from ..types import FLOAT_DTYPE, INDEX_DTYPE, WEIGHT_DTYPE, IndexArray
 from .blockmodel import BlockmodelCSR
-from .entropy import entropy_terms
 from .update import rebuild_blockmodel
 
 __all__ = ["IncrementalBlockmodel"]
@@ -67,12 +66,6 @@ _MIN_CAP = 16
 #: Doubling growth bounds holes at ~1× the footprint, so the limit must
 #: sit below 2 for compaction to ever trigger.
 _FRAG_LIMIT = 1.5
-
-#: When patching the cached term sums would re-reduce more than this
-#: fraction of the blockmodel's entries, hand back ``None`` instead and
-#: let the caller run the ordinary full precompute (what the
-#: rebuild-based path does every batch anyway).
-_TERM_PATCH_FRACTION = 0.5
 
 
 class _PaddedRows:
@@ -215,10 +208,7 @@ class IncrementalBlockmodel:
     compact :class:`BlockmodelCSR`; ``apply_batch`` and
     ``apply_merge_relabel`` advance it; ``update_time_s`` accumulates the
     wall time of every maintenance operation for the profiler's
-    ``blockmodel_update_s`` split.  Term-sum patching is timed separately
-    in ``term_patch_time_s``: it replaces the per-batch
-    ``precompute_block_term_sums`` pass, which the rebuild-based path
-    never charged to ``blockmodel_update_s`` either.
+    ``blockmodel_update_s`` split.
     """
 
     def __init__(
@@ -238,8 +228,6 @@ class IncrementalBlockmodel:
         self.fallback_fraction = float(fallback_fraction)
         self.obs = obs or NULL_OBS
         self.update_time_s = 0.0
-        self.term_patch_time_s = 0.0
-        self._patch_spent = 0.0
         self.incremental_updates = 0
         self.full_rebuilds = 0
         self.compactions = 0
@@ -301,8 +289,7 @@ class IncrementalBlockmodel:
         old_blocks: np.ndarray,
         new_blocks: np.ndarray,
         phase: Optional[str] = None,
-        term_sums: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-    ) -> Tuple[BlockmodelCSR, Optional[Tuple[np.ndarray, np.ndarray]]]:
+    ) -> BlockmodelCSR:
         """Apply one accepted batch of vertex moves as sparse deltas.
 
         Parameters
@@ -312,13 +299,8 @@ class IncrementalBlockmodel:
         movers / old_blocks / new_blocks:
             Accepted vertices and their old (``r``) / new (``s``) blocks;
             ``r != s`` for every entry (the MH step filters no-ops).
-        term_sums:
-            The cached :func:`precompute_block_term_sums` output valid
-            for the pre-move blockmodel; when given, the patched sums for
-            the post-move blockmodel are returned alongside it.
 
-        Returns ``(new_blockmodel, patched_term_sums_or_None)``.  Falls
-        back to a full rebuild (returning ``(bm, None)``) on the
+        Returns the new blockmodel.  Falls back to a full rebuild on the
         configured cadence or when the batch touches more than
         ``fallback_fraction`` of all blocks.
         """
@@ -327,15 +309,10 @@ class IncrementalBlockmodel:
                 "IncrementalBlockmodel.apply_batch before reset()"
             )
         t0 = time.perf_counter()
-        self._patch_spent = 0.0
         try:
-            return self._apply_batch(
-                bmap, movers, old_blocks, new_blocks, phase, term_sums
-            )
+            return self._apply_batch(bmap, movers, old_blocks, new_blocks, phase)
         finally:
-            elapsed = time.perf_counter() - t0
-            self.update_time_s += elapsed - self._patch_spent
-            self.term_patch_time_s += self._patch_spent
+            self.update_time_s += time.perf_counter() - t0
 
     def _apply_batch(
         self,
@@ -344,8 +321,7 @@ class IncrementalBlockmodel:
         old_blocks: np.ndarray,
         new_blocks: np.ndarray,
         phase: Optional[str],
-        term_sums: Optional[Tuple[np.ndarray, np.ndarray]],
-    ) -> Tuple[BlockmodelCSR, Optional[Tuple[np.ndarray, np.ndarray]]]:
+    ) -> BlockmodelCSR:
         old_bm = self._bm
         assert old_bm is not None
         num_blocks = old_bm.num_blocks
@@ -355,14 +331,14 @@ class IncrementalBlockmodel:
         touched = np.unique(np.concatenate((r, s)))
 
         if self.rebuild_every and self._since_rebuild + 1 >= self.rebuild_every:
-            return self.rebuild_fn_with_count(bmap, num_blocks, phase), None
+            return self.rebuild_fn_with_count(bmap, num_blocks, phase)
         if len(touched) > self.fallback_fraction * num_blocks:
             self.fallbacks += 1
             self._count(
                 "blockmodel_incremental_fallbacks_total",
                 "incremental batches that fell back to a full rebuild",
             )
-            return self.rebuild_fn_with_count(bmap, num_blocks, phase), None
+            return self.rebuild_fn_with_count(bmap, num_blocks, phase)
 
         if self._out is None:
             self._build_padded()
@@ -388,11 +364,6 @@ class IncrementalBlockmodel:
         deg_out, deg_in = self._patch_degrees(old_bm, movers, r, s, num_blocks, phase)
 
         new_bm = self._materialize(num_blocks, deg_out, deg_in, phase)
-        patched = None
-        if term_sums is not None:
-            p0 = time.perf_counter()
-            patched = self._patch_term_sums(old_bm, new_bm, touched, term_sums, phase)
-            self._patch_spent += time.perf_counter() - p0
         self._bm = new_bm
         self._since_rebuild += 1
         self.incremental_updates += 1
@@ -400,7 +371,7 @@ class IncrementalBlockmodel:
             "blockmodel_incremental_updates_total",
             "accepted batches applied as sparse blockmodel deltas",
         )
-        return new_bm, patched
+        return new_bm
 
     def rebuild_fn_with_count(
         self, bmap: IndexArray, num_blocks: int, phase: Optional[str]
@@ -725,100 +696,6 @@ class IncrementalBlockmodel:
             body,
             phase,
         )
-
-    # ------------------------------------------------------------------
-    def _patch_term_sums(
-        self,
-        old_bm: BlockmodelCSR,
-        new_bm: BlockmodelCSR,
-        touched: np.ndarray,
-        term_sums: Tuple[np.ndarray, np.ndarray],
-        phase: Optional[str],
-    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        """Patch cached per-block entropy-term sums for affected blocks.
-
-        ``R[b]`` must be recomputed when row *b*'s entries changed, when
-        ``deg_out[b]`` changed (b ∈ touched), or when some stored column
-        *j* of row *b* has a changed ``deg_in[j]`` — i.e. *b* sources an
-        in-row of a touched block (before or after the batch).  The
-        symmetric rule gives the affected columns.  Every other block's
-        sum is reused bit-identically, which is sound because
-        ``segmented_reduce_sum`` reduces each segment independently.
-        """
-        device = self.device
-        r_sums, c_sums = term_sums
-
-        # Cheap pre-check: the affected sets contain at least the touched
-        # rows, so if those alone exceed the re-reduce budget, bail before
-        # gathering anything.
-        touched_est = int(
-            (new_bm.out_ptr[touched + 1] - new_bm.out_ptr[touched]).sum()
-            + (new_bm.in_ptr[touched + 1] - new_bm.in_ptr[touched]).sum()
-        )
-        if touched_est > _TERM_PATCH_FRACTION * 2 * new_bm.num_entries:
-            return None
-
-        def sets_body() -> Tuple[np.ndarray, np.ndarray]:
-            _, src_old, _ = old_bm.gather_rows(touched, "in")
-            _, src_new, _ = new_bm.gather_rows(touched, "in")
-            _, dst_old, _ = old_bm.gather_rows(touched, "out")
-            _, dst_new, _ = new_bm.gather_rows(touched, "out")
-            aff_r = np.unique(np.concatenate((touched, src_old, src_new)))
-            aff_c = np.unique(np.concatenate((touched, dst_old, dst_new)))
-            return aff_r, aff_c
-
-        aff_r, aff_c = device.execute(
-            "touched_term_sets",
-            KernelCost(max(len(touched), 1), ops_per_item=3.0),
-            sets_body,
-            phase,
-        )
-
-        # Patching pays off only while the affected footprint is small;
-        # past the threshold the full precompute is the cheaper (and
-        # baseline-equivalent) way to obtain the same sums.
-        est = int(
-            (new_bm.out_ptr[aff_r + 1] - new_bm.out_ptr[aff_r]).sum()
-            + (new_bm.in_ptr[aff_c + 1] - new_bm.in_ptr[aff_c]).sum()
-        )
-        if est > _TERM_PATCH_FRACTION * 2 * new_bm.num_entries:
-            return None
-
-        def row_terms() -> Tuple[np.ndarray, np.ndarray]:
-            seg_ptr, cols, w = new_bm.gather_rows(aff_r, "out")
-            rows_rep = np.repeat(aff_r, seg_ptr[1:] - seg_ptr[:-1])
-            return seg_ptr, entropy_terms(
-                w, new_bm.deg_out[rows_rep], new_bm.deg_in[cols]
-            )
-
-        seg_ptr, terms = device.execute(
-            "entropy_terms_rows_patch",
-            KernelCost(max(len(aff_r), 1), ops_per_item=8.0),
-            row_terms,
-            phase,
-        )
-        row_vals = prim.segmented_reduce_sum(device, terms, seg_ptr, phase)
-
-        def col_terms() -> Tuple[np.ndarray, np.ndarray]:
-            seg_ptr_c, srcs, w = new_bm.gather_rows(aff_c, "in")
-            cols_rep = np.repeat(aff_c, seg_ptr_c[1:] - seg_ptr_c[:-1])
-            return seg_ptr_c, entropy_terms(
-                w, new_bm.deg_out[srcs], new_bm.deg_in[cols_rep]
-            )
-
-        seg_ptr_c, terms_c = device.execute(
-            "entropy_terms_cols_patch",
-            KernelCost(max(len(aff_c), 1), ops_per_item=8.0),
-            col_terms,
-            phase,
-        )
-        col_vals = prim.segmented_reduce_sum(device, terms_c, seg_ptr_c, phase)
-
-        new_r = r_sums.copy()
-        new_r[aff_r] = row_vals
-        new_c = c_sums.copy()
-        new_c[aff_c] = col_vals
-        return new_r, new_c
 
     # ------------------------------------------------------------------
     def apply_merge_relabel(

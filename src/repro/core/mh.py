@@ -106,7 +106,9 @@ def hastings_correction_batch(
         k_out_at_t[:n_out] = ctx.kout_w
         k_in_at_t[n_out:] = ctx.kin_w
         # cross lookups: for out-half entries, k_in at the same t; for
-        # in-half entries, k_out at the same t.  Composite-key join.
+        # in-half entries, k_out at the same t.  Composite-key join; the
+        # k-arrays come out of build_move_context strictly increasing in
+        # (mover, block), so their composite keys need no sort.
         def cross_fill(dst, src_ptr, src_blk, src_w, half_slice):
             seg_half = seg_of[half_slice]
             t_half = t[half_slice]
@@ -115,10 +117,8 @@ def hastings_correction_batch(
             src_seg = np.repeat(
                 np.arange(p, dtype=INDEX_DTYPE), src_ptr[1:] - src_ptr[:-1]
             )
-            src_keys = composite_keys(src_seg, src_blk, (0, b))
-            order = np.argsort(src_keys, kind="stable")
-            sorted_keys = src_keys[order]
-            sorted_w = src_w[order].astype(FLOAT_DTYPE)
+            sorted_keys = composite_keys(src_seg, src_blk, (0, b))
+            sorted_w = src_w.astype(FLOAT_DTYPE)
             want = composite_keys(seg_half, t_half, (0, b))
             pos = np.searchsorted(sorted_keys, want)
             ok = pos < len(sorted_keys)

@@ -27,11 +27,10 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from ..blockmodel.blockmodel import BlockmodelCSR
-from ..blockmodel.delta import (
-    MoveDeltaContext,
-    move_delta_batch,
-    precompute_block_term_sums,
-)
+from ..blockmodel.delta import MoveDeltaContext, move_delta_batch
+# Unused here; kept as a module attribute so tools that wrap the
+# vertex-move entry points by name still find it.
+from ..blockmodel.delta import precompute_block_term_sums  # noqa: F401
 from ..blockmodel.entropy import description_length
 from ..blockmodel.update import rebuild_blockmodel
 from ..config import SBPConfig
@@ -191,8 +190,7 @@ def run_vertex_move_phase(
     incremental:
         Optional :class:`~repro.blockmodel.incremental.IncrementalBlockmodel`
         maintainer.  When given, accepted batches are applied as sparse
-        deltas (byte-identical to *rebuild_fn*'s output) and the cached
-        block term sums are patched in place of a full recompute.
+        deltas (byte-identical to *rebuild_fn*'s output).
     obs:
         Observability hub recording sweep spans, acceptance counters and
         the per-proposal ΔMDL distribution; disabled hub by default.
@@ -226,12 +224,6 @@ def run_vertex_move_phase(
 
     if incremental is not None:
         incremental.ensure(blockmodel)
-    # Cached precompute_block_term_sums output, valid for exactly the
-    # blockmodel object it was computed from (identity check): batches
-    # after a zero-accept batch reuse it outright, and the incremental
-    # maintainer patches it across accepted batches.
-    term_sums: Optional[Tuple[np.ndarray, np.ndarray]] = None
-    term_sums_for: Optional[BlockmodelCSR] = None
 
     track_deltas = obs.enabled and obs.config.track_deltas
     for sweep in range(config.max_num_nodal_itr):
@@ -254,18 +246,7 @@ def run_vertex_move_phase(
                 ctx = build_move_context(
                     device, graph, bmap, batch, prop.proposals, PHASE
                 )
-                if term_sums is None or term_sums_for is not blockmodel:
-                    term_sums = precompute_block_term_sums(
-                        device, blockmodel, PHASE
-                    )
-                    term_sums_for = blockmodel
-                else:
-                    obs.count(
-                        "blockmodel_term_sums_skipped_total",
-                        help="per-batch term-sum recomputes skipped "
-                        "(blockmodel unchanged or sums patched)",
-                    )
-                delta = move_delta_batch(device, blockmodel, ctx, term_sums, PHASE)
+                delta = move_delta_batch(device, blockmodel, ctx, PHASE)
                 hastings = hastings_correction_batch(device, blockmodel, ctx, PHASE)
                 accept = accept_moves(device, delta, hastings, config.beta, rng, PHASE)
                 accept &= ctx.r != ctx.s
@@ -288,17 +269,14 @@ def run_vertex_move_phase(
                     bmap[movers] = prop.proposals[accept]
                     accepted_total += num_accepted
                     if incremental is not None:
-                        blockmodel, term_sums = incremental.apply_batch(
+                        blockmodel = incremental.apply_batch(
                             bmap, movers, ctx.r[accept],
                             prop.proposals[accept], PHASE,
-                            term_sums=term_sums,
                         )
-                        term_sums_for = blockmodel if term_sums is not None else None
                     else:
                         blockmodel = rebuild_fn(
                             device, graph, bmap, blockmodel.num_blocks, PHASE
                         )
-                        term_sums, term_sums_for = None, None
                         obs.count(
                             "blockmodel_full_rebuilds_total",
                             help="full Algorithm-2 blockmodel rebuilds",
@@ -306,10 +284,9 @@ def run_vertex_move_phase(
                     if integrity is not None:
                         repaired = integrity.site(bmap, blockmodel, PHASE)
                         if repaired is not blockmodel:
-                            # A repair rebuilt state from scratch; drop
-                            # every cache keyed to the old object.
+                            # A repair rebuilt state from scratch; the
+                            # maintainer must re-adopt the new object.
                             blockmodel = repaired
-                            term_sums, term_sums_for = None, None
                             if incremental is not None:
                                 incremental.reset(blockmodel)
             new_mdl = description_length(blockmodel, num_vertices, total_weight)

@@ -22,8 +22,11 @@ from repro.blockmodel.delta import (
 )
 from repro.blockmodel.dense import DenseBlockmodel
 from repro.blockmodel.entropy import data_log_posterior_dense
+from repro.core.mh import accept_moves
 from repro.core.vertex_move import build_move_context
+from repro.errors import NumericalError
 from repro.gpusim.device import A4000, Device
+from repro.graph.builder import build_graph
 
 
 def neighborhood_of(graph, bmap, v) -> VertexNeighborhood:
@@ -194,3 +197,75 @@ class TestTargetedCases:
             data_log_posterior_dense(after) - data_log_posterior_dense(dense)
         )
         assert got == pytest.approx(expected, abs=1e-9)
+
+
+class TestTouchedCellMoveDelta:
+    """The touched-cell move delta against the dense Eq. 7 oracle."""
+
+    # 3 blocks: {0, 1}, {2, 3}, {4, 5, 6}; vertex 6 has no edges
+    BMAP = np.array([0, 0, 1, 1, 2, 2, 2])
+    EDGES = [
+        (0, 0, 3),  # self-loop
+        (0, 1, 4),  # 0 -> own block
+        (0, 2, 2),  # 0 -> block 1
+        (3, 0, 1),  # block 1 -> 0
+        (4, 0, 5),  # block 2 -> 0
+        (0, 5, 1),  # 0 -> block 2
+        (1, 4, 2),
+        (2, 3, 2),
+        (5, 2, 3),
+        (3, 3, 1),  # self-loop
+        (4, 5, 1),
+    ]
+
+    def graph(self):
+        src, dst, wgt = zip(*self.EDGES)
+        return build_graph(src, dst, wgt, num_vertices=len(self.BMAP))
+
+    def test_every_vertex_to_every_block_matches_dense(self, device):
+        graph, bmap, b = self.graph(), self.BMAP, 3
+        dense = DenseBlockmodel.from_graph(graph, bmap, b)
+        bm = BlockmodelCSR.from_dense(dense.matrix)
+        movers = np.repeat(np.arange(graph.num_vertices), b)
+        proposals = np.tile(np.arange(b), graph.num_vertices)
+        ctx = build_move_context(device, graph, bmap, movers, proposals)
+        got = move_delta_batch(device, bm, ctx)
+
+        # the batch covers every edge case the touched-cell path splits on
+        nbhds = [neighborhood_of(graph, bmap, v) for v in movers]
+        moving = ctx.r != ctx.s
+        assert np.any(ctx.r == ctx.s)
+        assert any(n.self_weight and m for n, m in zip(nbhds, moving))
+        assert any(
+            n.d_out == 0 and n.d_in == 0 and m for n, m in zip(nbhds, moving)
+        )
+        both = [
+            {r, s} <= set(n.k_out_blocks) | set(n.k_in_blocks)
+            for n, r, s in zip(nbhds, ctx.r, ctx.s)
+        ]
+        assert any(both & moving)
+
+        for i, v in enumerate(movers):
+            r, s = int(bmap[v]), int(proposals[i])
+            expected = move_delta_dense(dense, r, s, nbhds[i])
+            assert got[i] == pytest.approx(expected, rel=1e-9, abs=1e-9)
+            if r == s or nbhds[i].d_out + nbhds[i].d_in == 0:
+                assert got[i] == 0.0
+
+    def test_corrupt_cell_raises_before_the_mh_draw(self, device):
+        graph, bmap = self.graph(), self.BMAP
+        matrix = DenseBlockmodel.from_graph(graph, bmap, 3).matrix.copy()
+        # moving vertex 0 from block 0 to block 1 removes its out-edge
+        # 0 -> 5 (weight 1) from M[0, 2]; zeroed, that cell goes negative
+        assert matrix[0, 2] == 3
+        matrix[0, 2] = 0
+        corrupt = BlockmodelCSR.from_dense(matrix)
+        ctx = build_move_context(
+            device, graph, bmap, np.array([0]), np.array([1])
+        )
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(NumericalError):
+            delta = move_delta_batch(device, corrupt, ctx)
+            accept_moves(device, delta, np.ones_like(delta), 3.0, rng)
+        assert rng.bit_generator.state == before

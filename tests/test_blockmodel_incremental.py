@@ -77,7 +77,7 @@ class TestRandomizedSweep:
         for _ in range(12):
             movers, old, new = _random_batch(rng, bmap, num_blocks, 24)
             bmap[movers] = new
-            bm, _ = inc.apply_batch(bmap, movers, old, new)
+            bm = inc.apply_batch(bmap, movers, old, new)
             reference = rebuild_blockmodel(device, graph, bmap, num_blocks)
             _assert_models_identical(bm, reference)
             assert description_length(
@@ -86,30 +86,6 @@ class TestRandomizedSweep:
                 reference, graph.num_vertices, graph.total_edge_weight
             )
         assert inc.incremental_updates == 12
-
-    def test_term_sums_patched_bit_identically(self):
-        from repro.blockmodel.delta import precompute_block_term_sums
-
-        graph, truth = load_dataset("low_low", 200, seed=3)
-        device = Device(A4000)
-        rng = np.random.default_rng(5)
-        num_blocks = int(truth.max()) + 1
-        bmap = truth.copy()
-        bm = rebuild_blockmodel(device, graph, bmap, num_blocks)
-        inc = IncrementalBlockmodel(device, graph, fallback_fraction=1.0)
-        inc.reset(bm)
-        sums = precompute_block_term_sums(device, bm)
-        for _ in range(6):
-            movers, old, new = _random_batch(rng, bmap, num_blocks, 8)
-            bmap[movers] = new
-            bm, sums = inc.apply_batch(
-                bmap, movers, old, new, term_sums=sums
-            )
-            fresh = precompute_block_term_sums(device, bm)
-            if sums is None:  # footprint guard declined to patch
-                sums = fresh
-            assert np.array_equal(sums[0], fresh[0])
-            assert np.array_equal(sums[1], fresh[1])
 
     def test_merge_relabel_matches_rebuild(self):
         graph, truth = load_dataset("high_low", 200, seed=3)
@@ -147,7 +123,7 @@ class TestMoverNeighbours:
         old = bmap.copy()
         new = np.array([1, 0, 1, 0], dtype=np.int64)
         bmap[movers] = new
-        bm, _ = inc.apply_batch(bmap, movers, old, new)
+        bm = inc.apply_batch(bmap, movers, old, new)
         _assert_models_identical(
             bm, rebuild_blockmodel(device, tiny_graph, bmap, 2)
         )
@@ -217,8 +193,7 @@ class TestFallbackAndCadence:
         rng = np.random.default_rng(0)
         movers, old, new = _random_batch(rng, bmap, num_blocks, 16)
         bmap[movers] = new
-        bm, patched = inc.apply_batch(bmap, movers, old, new)
-        assert patched is None
+        bm = inc.apply_batch(bmap, movers, old, new)
         assert inc.fallbacks == 1
         assert inc.full_rebuilds == 1
         assert inc.incremental_updates == 0
@@ -286,7 +261,7 @@ class TestEndToEndIdentity:
         assert inc_run.mdl == full_run.mdl
         assert inc_run.history == full_run.history
 
-    def test_counters_and_term_sum_skip(self):
+    def test_incremental_update_counter(self):
         graph, _ = load_dataset("low_low", 200, seed=1)
         config = SBPConfig(**BASE_KW).replace(
             observability=ObservabilityConfig(enabled=True)
@@ -302,9 +277,6 @@ class TestEndToEndIdentity:
             return metric.value if metric is not None else 0.0
 
         assert counter("blockmodel_incremental_updates_total") > 0
-        # satellite: zero-accept / patched batches skip the per-batch
-        # term-sum precompute, observable through the skip counter
-        assert counter("blockmodel_term_sums_skipped_total") > 0
 
     def test_run_report_hit_rate(self):
         from repro.obs.report import build_run_report, run_report_markdown

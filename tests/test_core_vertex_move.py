@@ -11,6 +11,7 @@ from repro.core.vertex_move import (
     gather_adjacency_rows,
     run_vertex_move_phase,
 )
+from repro.gpusim.primitives import composite_keys
 
 
 class TestGatherAdjacencyRows:
@@ -62,6 +63,23 @@ class TestBuildMoveContext:
         )
         np.testing.assert_array_equal(ctx.kout_blk, [1])
         np.testing.assert_array_equal(ctx.kout_w, [5])
+
+    def test_k_arrays_strictly_increasing_by_mover_and_block(
+        self, device, small_graph_with_truth
+    ):
+        """The Hastings cross lookup binary-searches the k-arrays'
+        composite (mover, block) keys without sorting them first."""
+        graph, truth = small_graph_with_truth
+        b = int(truth.max()) + 1
+        rng = np.random.default_rng(3)
+        bmap = rng.integers(0, b, graph.num_vertices).astype(np.int64)
+        movers = rng.permutation(graph.num_vertices)[:80]
+        ctx = build_move_context(device, graph, bmap, movers, bmap[movers])
+        for ptr, blk in ((ctx.kout_ptr, ctx.kout_blk), (ctx.kin_ptr, ctx.kin_blk)):
+            seg = np.repeat(np.arange(len(movers)), ptr[1:] - ptr[:-1])
+            keys = composite_keys(seg, blk, (0, b))
+            assert len(keys) > len(movers)
+            assert np.all(np.diff(keys) > 0)
 
     def test_r_and_s_recorded(self, device, tiny_graph):
         bmap = np.array([0, 1, 0, 1])

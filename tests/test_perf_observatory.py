@@ -46,7 +46,7 @@ from repro.perf import (
 REPO_ROOT = Path(__file__).resolve().parent.parent
 QUICK = [PerfWorkload(WorkloadSpec("low_low", 200, "GSAP"))]
 
-TARGET_KERNEL = "segmented_reduce_by_key"
+TARGET_KERNEL = "hastings_correction"
 TARGET_PHASE = "vertex_move"
 TARGET_PAIR = f"{TARGET_PHASE}/{TARGET_KERNEL}"
 

@@ -233,8 +233,9 @@ class TestKillAndResume:
         config = SBPConfig(**BASE_KW)
         full = GSAPPartitioner(config, device=Device(A4000)).partition(graph)
 
-        # kill: an unrecoverable kernel-fault storm late in the run, with
-        # checkpoints written at every plateau boundary
+        # kill: an unrecoverable kernel-fault storm midway through the run
+        # (the full run launches ~2,460 kernels), with checkpoints written
+        # at every plateau boundary
         kill_config = config.replace(
             resilience=ResilienceConfig(
                 max_attempts=2, fault_budget=3, base_delay_s=0.0
@@ -243,7 +244,7 @@ class TestKillAndResume:
         device = Device(A4000)
         install_fault_injector(
             device,
-            FaultPlan(faults=(FaultSpec(kind="kernel", at=2500,
+            FaultPlan(faults=(FaultSpec(kind="kernel", at=1100,
                                         count=10**6),)),
         )
         with pytest.raises(RetryExhaustedError):
