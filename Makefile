@@ -15,11 +15,12 @@ test-fast:
 	pytest tests/ -m "not slow"
 
 # byte-identity and ΔMDL oracles: golden partitions, dense-vs-batched
-# deltas, Hastings correction, incremental-vs-rebuild blockmodels
+# deltas, Hastings correction, incremental-vs-rebuild blockmodels,
+# EDiSt golden partitions at 1/2/4 ranks
 test-oracles:
 	PYTHONPATH=src pytest -q tests/test_gsap_golden.py \
 	  tests/test_blockmodel_delta.py tests/test_core_mh.py \
-	  tests/test_blockmodel_incremental.py
+	  tests/test_blockmodel_incremental.py tests/test_baselines_edist.py
 
 test-faults:
 	pytest tests/ -m faults

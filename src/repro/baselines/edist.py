@@ -14,7 +14,18 @@ moves travel as CRC32-framed, sequence-numbered messages through a
 fault-plan-driven channel, lost or corrupt frames trigger bounded
 retransmission, a heartbeat failure detector spots crashed ranks at the
 round barrier, and survivors re-shard and continue after a deterministic
-recovery audit.  Two oracles pin the refactor down (see
+recovery audit.
+
+Rank-local evaluation is one batched pass per shard against the replica
+frozen at round start: one :func:`~repro.core.vertex_move.move_context`
+for the permuted shard, a per-vertex loop that only draws proposals,
+then one :func:`~repro.blockmodel.delta.move_delta_cells` and one
+:func:`~repro.core.mh.hastings_ratio` on the dense replica — the host
+bodies GSAP's vertex-move kernels run.  Neither the replica nor ``Bmap``
+changes before the apply phase, so the batch sees what a per-vertex
+loop would.  The acceptance uniform is drawn in the proposal loop
+exactly when ``s != r``, as the per-vertex MH test did, so the random
+stream is unchanged.  Two oracles pin the refactor down (see
 ``docs/distributed.md``): a fault-free run is byte-identical to the
 direct in-process exchange, and recovery runs land within an MDL
 tolerance of fault-free ones.
@@ -22,7 +33,7 @@ tolerance of fault-free ones.
 
 from __future__ import annotations
 
-import math
+import dataclasses
 import os
 import time
 from pathlib import Path
@@ -30,10 +41,12 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from ..blockmodel.delta import move_delta_dense
+from ..blockmodel.delta import move_delta_cells
 from ..blockmodel.dense import DenseBlockmodel
 from ..blockmodel.entropy import description_length
 from ..config import SBPConfig
+from ..core.mh import hastings_ratio
+from ..core.vertex_move import move_context
 from ..dist import (
     MOVE_RECORD_BYTES,
     Communicator,
@@ -56,10 +69,13 @@ from ..resilience.retry import FaultBudget, RetryPolicy
 from .common import (
     CPUSBPEngine,
     MovePhaseResult,
-    hastings_correction_dense,
     propose_from_blockmodel,
     vertex_neighborhood,
 )
+# The per-vertex oracles are unused here; they stay module attributes
+# so tools that wrap the EDiSt entry points by name still find them.
+from ..blockmodel.delta import move_delta_dense  # noqa: F401
+from .common import hastings_correction_dense  # noqa: F401
 
 __all__ = ["CommStats", "DistStats", "EDiStPartitioner", "MOVE_RECORD_BYTES"]
 
@@ -288,29 +304,40 @@ class EDiStPartitioner(CPUSBPEngine):
             accepted_per_rank: Dict[int, List[Tuple[int, int, int]]] = {}
             for rank in sorted(shard_map):
                 rank_t0 = time.perf_counter() if lanes else 0.0
-                accepted: List[Tuple[int, int, int]] = []
-                for v in rng.permutation(shard_map[rank]):
-                    v = int(v)
-                    r = int(bmap[v])
-                    nbhd = vertex_neighborhood(graph, bmap, v)
+                order = rng.permutation(shard_map[rank])
+                ctx = move_context(graph, bmap, order, bmap[order])
+                s_all = ctx.s.copy()
+                # the uniform is drawn exactly when s != r, as a
+                # per-vertex MH test would, so the stream is unchanged
+                u = np.ones(len(order))
+                for i in range(len(order)):
                     t0 = time.perf_counter()
+                    o_lo, o_hi = ctx.kout_ptr[i], ctx.kout_ptr[i + 1]
+                    i_lo, i_hi = ctx.kin_ptr[i], ctx.kin_ptr[i + 1]
                     pivots = np.concatenate(
-                        [nbhd.k_out_blocks, nbhd.k_in_blocks]
+                        [ctx.kout_blk[o_lo:o_hi], ctx.kin_blk[i_lo:i_hi]]
                     )
                     pivot_w = np.concatenate(
-                        [nbhd.k_out_weights, nbhd.k_in_weights]
+                        [ctx.kout_w[o_lo:o_hi], ctx.kin_w[i_lo:i_hi]]
                     )
                     s = propose_from_blockmodel(model, pivots, pivot_w, rng)
                     proposal_time += time.perf_counter() - t0
                     proposals += 1
-                    if s == r:
-                        continue
-                    delta = move_delta_dense(model, r, s, nbhd)
-                    hastings = hastings_correction_dense(model, r, s, nbhd)
-                    exponent = min(700.0, max(-700.0, -config.beta * delta))
-                    if rng.random() < min(1.0, math.exp(exponent) * hastings):
-                        accepted.append((v, r, s))
-                accepted_per_rank[rank] = accepted
+                    s_all[i] = s
+                    if s != ctx.r[i]:
+                        u[i] = rng.random()
+                ctx = dataclasses.replace(ctx, s=s_all)
+                delta = move_delta_cells(model, ctx)
+                hastings = hastings_ratio(model, ctx)
+                exponent = np.clip(-config.beta * delta, -700.0, 700.0)
+                accept = (ctx.r != ctx.s) & (
+                    u < np.minimum(1.0, np.exp(exponent) * hastings)
+                )
+                accepted_per_rank[rank] = [
+                    (int(v), int(r), int(s))
+                    for v, r, s in zip(order[accept], ctx.r[accept],
+                                       ctx.s[accept])
+                ]
                 if lanes:
                     compute_s[rank] = time.perf_counter() - rank_t0
 

@@ -19,13 +19,15 @@ Two implementations live here:
   kernel) and sums the entropy terms with segmented reductions.  A
   vertex move changes only about ``deg(v)`` cells, so it evaluates the
   data term's split ``Σ g(M) − Σ g(d_out) − Σ g(d_in)`` over just those
-  cells and the degrees of ``r`` and ``s``, in one launch.
+  cells and the degrees of ``r`` and ``s``, in one launch.  Its host
+  body, :func:`move_delta_cells`, also scores the CPU baselines'
+  :class:`DenseBlockmodel` replicas.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -44,6 +46,7 @@ __all__ = [
     "precompute_block_term_sums",
     "merge_delta_batch",
     "move_delta_batch",
+    "move_delta_cells",
 ]
 
 
@@ -439,7 +442,7 @@ def merge_delta_batch(
 class MoveDeltaContext:
     """Per-mover aggregated adjacency for a batch of vertex moves.
 
-    Built by :func:`repro.core.vertex_move.build_move_context`; segment
+    Built by :func:`repro.core.vertex_move.move_context`; segment
     ``i`` of the k-arrays holds mover ``i``'s out-(in-)edge weight per
     *unique* neighbouring block, self-loops excluded and carried in
     :attr:`self_w`.
@@ -467,11 +470,8 @@ def _xlogx(x: np.ndarray) -> np.ndarray:
     return x * np.log(np.where(x > 0, x, 1.0))
 
 
-def move_delta_batch(
-    device: Device,
-    bm: BlockmodelCSR,
-    ctx: MoveDeltaContext,
-    phase: Optional[str] = None,
+def move_delta_cells(
+    bm: Union[BlockmodelCSR, DenseBlockmodel], ctx: MoveDeltaContext
 ) -> np.ndarray:
     """ΔS for a batch of vertex moves (paper Eq. 7), one value per mover.
 
@@ -482,84 +482,96 @@ def move_delta_batch(
     cells are ``M[r,t]``/``M[s,t]`` for every out-block ``t ∉ {r,s}``,
     ``M[t,r]``/``M[t,s]`` for every in-block ``t ∉ {r,s}`` and the four
     corners ``{r,s}×{r,s}``; all of them are looked up and summed in one
-    launch.  Movers with ``r == s`` get ΔS = 0.  All movers are
-    evaluated against the same frozen blockmodel — the
-    asynchronous-Gibbs semantics of the vertex-move phase.
+    pass.  Movers with ``r == s`` get ΔS = 0.  All movers are evaluated
+    against the same frozen blockmodel — the asynchronous-Gibbs
+    semantics of the vertex-move phase.
+
+    This is the host body of :func:`move_delta_batch`; it needs only
+    ``bm.lookup`` and the degree arrays, so the CSR blockmodel and the
+    CPU baselines' :class:`DenseBlockmodel` share it.
     """
     r, s = ctx.r, ctx.s
     p = ctx.num_movers
     moving = r != s
+    movers = np.arange(p, dtype=INDEX_DTYPE)
+    out_seg = np.repeat(movers, ctx.kout_ptr[1:] - ctx.kout_ptr[:-1])
+    in_seg = np.repeat(movers, ctx.kin_ptr[1:] - ctx.kin_ptr[:-1])
+    kout_w = ctx.kout_w.astype(FLOAT_DTYPE)
+    kin_w = ctx.kin_w.astype(FLOAT_DTYPE)
 
-    def body() -> np.ndarray:
-        movers = np.arange(p, dtype=INDEX_DTYPE)
-        out_seg = np.repeat(movers, ctx.kout_ptr[1:] - ctx.kout_ptr[:-1])
-        in_seg = np.repeat(movers, ctx.kin_ptr[1:] - ctx.kin_ptr[:-1])
-        kout_w = ctx.kout_w.astype(FLOAT_DTYPE)
-        kin_w = ctx.kin_w.astype(FLOAT_DTYPE)
+    # each mover's k-arrays hold a block at most once, so a masked
+    # bincount reads off its weight toward r and toward s
+    def weight_to(seg, blk, w, target):
+        hit = blk == target[seg]
+        return np.bincount(seg[hit], weights=w[hit], minlength=p)
 
-        # each mover's k-arrays hold a block at most once, so a masked
-        # bincount reads off its weight toward r and toward s
-        def weight_to(seg, blk, w, target):
-            hit = blk == target[seg]
-            return np.bincount(seg[hit], weights=w[hit], minlength=p)
+    kout_r = weight_to(out_seg, ctx.kout_blk, kout_w, r)
+    kout_s = weight_to(out_seg, ctx.kout_blk, kout_w, s)
+    kin_r = weight_to(in_seg, ctx.kin_blk, kin_w, r)
+    kin_s = weight_to(in_seg, ctx.kin_blk, kin_w, s)
+    self_w = ctx.self_w.astype(FLOAT_DTYPE)
 
-        kout_r = weight_to(out_seg, ctx.kout_blk, kout_w, r)
-        kout_s = weight_to(out_seg, ctx.kout_blk, kout_w, s)
-        kin_r = weight_to(in_seg, ctx.kin_blk, kin_w, r)
-        kin_s = weight_to(in_seg, ctx.kin_blk, kin_w, s)
-        self_w = ctx.self_w.astype(FLOAT_DTYPE)
+    def off_corner(seg, blk):
+        return moving[seg] & (blk != r[seg]) & (blk != s[seg])
 
-        def off_corner(seg, blk):
-            return moving[seg] & (blk != r[seg]) & (blk != s[seg])
+    keep_o = off_corner(out_seg, ctx.kout_blk)
+    so, to, wo = out_seg[keep_o], ctx.kout_blk[keep_o], kout_w[keep_o]
+    keep_i = off_corner(in_seg, ctx.kin_blk)
+    si, ti, wi = in_seg[keep_i], ctx.kin_blk[keep_i], kin_w[keep_i]
+    mv = np.flatnonzero(moving)
+    rm, sm = r[mv], s[mv]
+    # corner shifts: _move_new_rows_cols_dense at (r,r), (r,s), (s,r), (s,s)
+    rows = np.concatenate((r[so], s[so], ti, ti, rm, rm, sm, sm))
+    cols = np.concatenate((to, to, r[si], s[si], rm, sm, rm, sm))
+    shift = np.concatenate((
+        -wo, wo, -wi, wi,
+        -(kout_r + kin_r + self_w)[mv],
+        (kin_r - kout_s)[mv],
+        (kout_r - kin_s)[mv],
+        (kout_s + kin_s + self_w)[mv],
+    ))
+    seg = np.concatenate((so, so, si, si, mv, mv, mv, mv))
+    old = bm.lookup(rows, cols).astype(FLOAT_DTYPE)
+    new = old + shift
 
-        keep_o = off_corner(out_seg, ctx.kout_blk)
-        so, to, wo = out_seg[keep_o], ctx.kout_blk[keep_o], kout_w[keep_o]
-        keep_i = off_corner(in_seg, ctx.kin_blk)
-        si, ti, wi = in_seg[keep_i], ctx.kin_blk[keep_i], kin_w[keep_i]
-        mv = np.flatnonzero(moving)
-        rm, sm = r[mv], s[mv]
-        # corner shifts: _move_new_rows_cols_dense at (r,r), (r,s), (s,r), (s,s)
-        rows = np.concatenate((r[so], s[so], ti, ti, rm, rm, sm, sm))
-        cols = np.concatenate((to, to, r[si], s[si], rm, sm, rm, sm))
-        shift = np.concatenate((
-            -wo, wo, -wi, wi,
-            -(kout_r + kin_r + self_w)[mv],
-            (kin_r - kout_s)[mv],
-            (kout_r - kin_s)[mv],
-            (kout_s + kin_s + self_w)[mv],
-        ))
-        seg = np.concatenate((so, so, si, si, mv, mv, mv, mv))
-        old = bm.lookup(rows, cols).astype(FLOAT_DTYPE)
-        new = old + shift
+    d_out = bm.deg_out.astype(FLOAT_DTYPE)
+    d_in = bm.deg_in.astype(FLOAT_DTYPE)
+    d_out_v = ctx.d_out_v[mv].astype(FLOAT_DTYPE)
+    d_in_v = ctx.d_in_v[mv].astype(FLOAT_DTYPE)
+    deg_old = np.concatenate((d_out[rm], d_out[sm], d_in[rm], d_in[sm]))
+    deg_new = deg_old + np.concatenate((-d_out_v, d_out_v, -d_in_v, d_in_v))
 
-        d_out = bm.deg_out.astype(FLOAT_DTYPE)
-        d_in = bm.deg_in.astype(FLOAT_DTYPE)
-        d_out_v = ctx.d_out_v[mv].astype(FLOAT_DTYPE)
-        d_in_v = ctx.d_in_v[mv].astype(FLOAT_DTYPE)
-        deg_old = np.concatenate((d_out[rm], d_out[sm], d_in[rm], d_in[sm]))
-        deg_new = deg_old + np.concatenate((-d_out_v, d_out_v, -d_in_v, d_in_v))
-
-        # A negative count (old, or driven negative by the move) means the
-        # blockmodel no longer matches the graph; min() propagates NaN.
-        for arr in (old, new, deg_old, deg_new):
-            if arr.size and not arr.min() >= 0:
-                raise NumericalError(
-                    "move_delta_batch: negative or non-finite blockmodel "
-                    "count — blockmodel counts are corrupt upstream of Eq. 7"
-                )
-        cells = _xlogx(old) - _xlogx(new)
-        # bincount over zero cells (no mover moves) returns int64
-        delta = np.bincount(seg, weights=cells, minlength=p).astype(FLOAT_DTYPE)
-        delta[mv] -= (_xlogx(deg_old) - _xlogx(deg_new)).reshape(4, -1).sum(axis=0)
-        return delta
-
-    work = 2 * (len(ctx.kout_blk) + len(ctx.kin_blk)) + 4 * p
-    delta = device.execute(
-        "move_delta_cells", KernelCost(max(work, 1), ops_per_item=12.0), body, phase
-    )
+    # A negative count (old, or driven negative by the move) means the
+    # blockmodel no longer matches the graph; min() propagates NaN.
+    for arr in (old, new, deg_old, deg_new):
+        if arr.size and not arr.min() >= 0:
+            raise NumericalError(
+                "move_delta_cells: negative or non-finite blockmodel "
+                "count — blockmodel counts are corrupt upstream of Eq. 7"
+            )
+    cells = _xlogx(old) - _xlogx(new)
+    # bincount over zero cells (no mover moves) returns int64
+    delta = np.bincount(seg, weights=cells, minlength=p).astype(FLOAT_DTYPE)
+    delta[mv] -= (_xlogx(deg_old) - _xlogx(deg_new)).reshape(4, -1).sum(axis=0)
     if delta.size and not np.isfinite(delta).all():
         raise NumericalError(
-            "move_delta_batch: non-finite ΔMDL — blockmodel counts are "
+            "move_delta_cells: non-finite ΔMDL — blockmodel counts are "
             "corrupt upstream of Eq. 7"
         )
     return delta
+
+
+def move_delta_batch(
+    device: Device,
+    bm: BlockmodelCSR,
+    ctx: MoveDeltaContext,
+    phase: Optional[str] = None,
+) -> np.ndarray:
+    """:func:`move_delta_cells` as one ``move_delta_cells`` launch."""
+    work = 2 * (len(ctx.kout_blk) + len(ctx.kin_blk)) + 4 * ctx.num_movers
+    return device.execute(
+        "move_delta_cells",
+        KernelCost(max(work, 1), ops_per_item=12.0),
+        lambda: move_delta_cells(bm, ctx),
+        phase,
+    )

@@ -62,6 +62,10 @@ class DenseBlockmodel:
     def copy(self) -> "DenseBlockmodel":
         return DenseBlockmodel(self.matrix.copy())
 
+    def lookup(self, rows: np.ndarray, cols: np.ndarray) -> WeightArray:
+        """Vectorized ``M[rows[i], cols[i]]``, as :meth:`BlockmodelCSR.lookup`."""
+        return self.matrix[rows, cols]
+
     # ------------------------------------------------------------------
     # in-place mutations (the CPU update path the paper's Fig. 12
     # benchmarks GSAP's rebuild against)

@@ -101,6 +101,43 @@ def _aggregate_by_block(
     return k_ptr, out_blk.astype(INDEX_DTYPE), out_w, self_w, total_w
 
 
+def move_context(
+    graph: DiGraphCSR,
+    bmap: np.ndarray,
+    vertices: np.ndarray,
+    proposals: np.ndarray,
+) -> MoveDeltaContext:
+    """Aggregate every mover's adjacency by block against *bmap*.
+
+    Segment ``i`` of the result is ``vertices[i]``'s neighbourhood: the
+    same blocks (ascending), weights, self-loop weight and degrees a
+    per-vertex aggregation would give.  This is the host body of
+    :func:`build_move_context`.
+    """
+    vertices = np.asarray(vertices, dtype=INDEX_DTYPE)
+    out_ptr, out_nbr, out_wgt = gather_adjacency_rows(graph.out_adj, vertices)
+    kout_ptr, kout_blk, kout_w, self_w, d_out_v = _aggregate_by_block(
+        out_ptr, out_nbr, out_wgt, vertices, bmap
+    )
+    in_ptr, in_nbr, in_wgt = gather_adjacency_rows(graph.in_adj, vertices)
+    kin_ptr, kin_blk, kin_w, _self_in, d_in_v = _aggregate_by_block(
+        in_ptr, in_nbr, in_wgt, vertices, bmap
+    )
+    return MoveDeltaContext(
+        r=bmap[vertices].astype(INDEX_DTYPE),
+        s=np.asarray(proposals, dtype=INDEX_DTYPE),
+        kout_ptr=kout_ptr,
+        kout_blk=kout_blk,
+        kout_w=kout_w,
+        kin_ptr=kin_ptr,
+        kin_blk=kin_blk,
+        kin_w=kin_w,
+        self_w=self_w,
+        d_out_v=d_out_v,
+        d_in_v=d_in_v,
+    )
+
+
 def build_move_context(
     device: Device,
     graph: DiGraphCSR,
@@ -109,38 +146,17 @@ def build_move_context(
     proposals: np.ndarray,
     phase: str = PHASE,
 ) -> MoveDeltaContext:
-    """Aggregate every mover's adjacency by block (one device pass)."""
+    """:func:`move_context` as one ``build_move_context`` launch."""
     vertices = np.asarray(vertices, dtype=INDEX_DTYPE)
-
-    def body() -> MoveDeltaContext:
-        out_ptr, out_nbr, out_wgt = gather_adjacency_rows(graph.out_adj, vertices)
-        kout_ptr, kout_blk, kout_w, self_w, d_out_v = _aggregate_by_block(
-            out_ptr, out_nbr, out_wgt, vertices, bmap
-        )
-        in_ptr, in_nbr, in_wgt = gather_adjacency_rows(graph.in_adj, vertices)
-        kin_ptr, kin_blk, kin_w, _self_in, d_in_v = _aggregate_by_block(
-            in_ptr, in_nbr, in_wgt, vertices, bmap
-        )
-        return MoveDeltaContext(
-            r=bmap[vertices].astype(INDEX_DTYPE),
-            s=np.asarray(proposals, dtype=INDEX_DTYPE),
-            kout_ptr=kout_ptr,
-            kout_blk=kout_blk,
-            kout_w=kout_w,
-            kin_ptr=kin_ptr,
-            kin_blk=kin_blk,
-            kin_w=kin_w,
-            self_w=self_w,
-            d_out_v=d_out_v,
-            d_in_v=d_in_v,
-        )
-
     work = int(
         (graph.out_adj.ptr[vertices + 1] - graph.out_adj.ptr[vertices]).sum()
         + (graph.in_adj.ptr[vertices + 1] - graph.in_adj.ptr[vertices]).sum()
     )
     return device.execute(
-        "build_move_context", KernelCost(max(work, 1), 4.0), body, phase
+        "build_move_context",
+        KernelCost(max(work, 1), 4.0),
+        lambda: move_context(graph, bmap, vertices, proposals),
+        phase,
     )
 
 

@@ -40,6 +40,38 @@ def tiny_graph():
     return build_graph(src, dst, wgt, num_vertices=4)
 
 
+@pytest.fixture
+def move_edge_cases():
+    """Every vertex moved to every block of a graph built for Eq. 7's corners.
+
+    Blocks are ``{0, 1}``, ``{2, 3}``, ``{4, 5, 6}``; vertices 0 and 3
+    carry self-loops, vertex 0 is adjacent to every block, and vertex 6
+    has no edges.  Returns ``(graph, bmap, num_blocks, movers,
+    proposals)`` with one mover per (vertex, block) pair, ``r == s``
+    included.
+    """
+    bmap = np.array([0, 0, 1, 1, 2, 2, 2])
+    edges = [
+        (0, 0, 3),  # self-loop
+        (0, 1, 4),  # 0 -> own block
+        (0, 2, 2),  # 0 -> block 1
+        (3, 0, 1),  # block 1 -> 0
+        (4, 0, 5),  # block 2 -> 0
+        (0, 5, 1),  # 0 -> block 2
+        (1, 4, 2),
+        (2, 3, 2),
+        (5, 2, 3),
+        (3, 3, 1),  # self-loop
+        (4, 5, 1),
+    ]
+    src, dst, wgt = zip(*edges)
+    graph = build_graph(src, dst, wgt, num_vertices=len(bmap))
+    b = 3
+    movers = np.repeat(np.arange(len(bmap)), b)
+    proposals = np.tile(np.arange(b), len(bmap))
+    return graph, bmap, b, movers, proposals
+
+
 @pytest.fixture(scope="session")
 def small_graph_with_truth():
     """A 200-vertex Low-Low dataset graph (session-cached; read-only)."""

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.baselines.common import vertex_neighborhood
 from repro.baselines.edist import MOVE_RECORD_BYTES, CommStats, EDiStPartitioner
 from repro.config import SBPConfig
+from repro.core.vertex_move import move_context
+from repro.dist import shard_vertices
 from repro.errors import PartitionError
 from repro.graph.datasets import load_dataset
 from repro.metrics import nmi
@@ -107,6 +110,31 @@ class TestEDiSt:
     def test_bad_rank_count(self, quick_config):
         with pytest.raises(PartitionError):
             EDiStPartitioner(quick_config, num_ranks=0)
+
+
+class TestBatchedLocalPhase:
+    def test_move_context_equals_per_vertex_neighborhoods(self, bench_graph):
+        """One context over a permuted shard carries exactly the pivots,
+        weights, self-loop weight and degrees the per-vertex
+        aggregation gives, so proposals draw from unchanged inputs."""
+        graph, _ = bench_graph
+        rng = np.random.default_rng(4)
+        bmap = rng.integers(0, 9, graph.num_vertices).astype(np.int64)
+        shard = shard_vertices(graph.num_vertices, 2)[1]
+        order = rng.permutation(shard)
+        ctx = move_context(graph, bmap, order, bmap[order])
+        assert np.array_equal(ctx.r, bmap[order])
+        for i, v in enumerate(order):
+            nbhd = vertex_neighborhood(graph, bmap, int(v))
+            out = slice(ctx.kout_ptr[i], ctx.kout_ptr[i + 1])
+            inn = slice(ctx.kin_ptr[i], ctx.kin_ptr[i + 1])
+            assert np.array_equal(ctx.kout_blk[out], nbhd.k_out_blocks)
+            assert np.array_equal(ctx.kout_w[out], nbhd.k_out_weights)
+            assert np.array_equal(ctx.kin_blk[inn], nbhd.k_in_blocks)
+            assert np.array_equal(ctx.kin_w[inn], nbhd.k_in_weights)
+            assert ctx.self_w[i] == nbhd.self_weight
+            assert ctx.d_out_v[i] == nbhd.d_out
+            assert ctx.d_in_v[i] == nbhd.d_in
 
 
 class TestByteIdentityOracle:

@@ -17,16 +17,16 @@ from repro.blockmodel.delta import (
     merge_delta_batch,
     merge_delta_dense,
     move_delta_batch,
+    move_delta_cells,
     move_delta_dense,
     precompute_block_term_sums,
 )
 from repro.blockmodel.dense import DenseBlockmodel
 from repro.blockmodel.entropy import data_log_posterior_dense
 from repro.core.mh import accept_moves
-from repro.core.vertex_move import build_move_context
+from repro.core.vertex_move import build_move_context, move_context
 from repro.errors import NumericalError
 from repro.gpusim.device import A4000, Device
-from repro.graph.builder import build_graph
 
 
 def neighborhood_of(graph, bmap, v) -> VertexNeighborhood:
@@ -202,32 +202,12 @@ class TestTargetedCases:
 class TestTouchedCellMoveDelta:
     """The touched-cell move delta against the dense Eq. 7 oracle."""
 
-    # 3 blocks: {0, 1}, {2, 3}, {4, 5, 6}; vertex 6 has no edges
-    BMAP = np.array([0, 0, 1, 1, 2, 2, 2])
-    EDGES = [
-        (0, 0, 3),  # self-loop
-        (0, 1, 4),  # 0 -> own block
-        (0, 2, 2),  # 0 -> block 1
-        (3, 0, 1),  # block 1 -> 0
-        (4, 0, 5),  # block 2 -> 0
-        (0, 5, 1),  # 0 -> block 2
-        (1, 4, 2),
-        (2, 3, 2),
-        (5, 2, 3),
-        (3, 3, 1),  # self-loop
-        (4, 5, 1),
-    ]
-
-    def graph(self):
-        src, dst, wgt = zip(*self.EDGES)
-        return build_graph(src, dst, wgt, num_vertices=len(self.BMAP))
-
-    def test_every_vertex_to_every_block_matches_dense(self, device):
-        graph, bmap, b = self.graph(), self.BMAP, 3
+    def test_every_vertex_to_every_block_matches_dense(
+        self, device, move_edge_cases
+    ):
+        graph, bmap, b, movers, proposals = move_edge_cases
         dense = DenseBlockmodel.from_graph(graph, bmap, b)
         bm = BlockmodelCSR.from_dense(dense.matrix)
-        movers = np.repeat(np.arange(graph.num_vertices), b)
-        proposals = np.tile(np.arange(b), graph.num_vertices)
         ctx = build_move_context(device, graph, bmap, movers, proposals)
         got = move_delta_batch(device, bm, ctx)
 
@@ -252,14 +232,53 @@ class TestTouchedCellMoveDelta:
             if r == s or nbhds[i].d_out + nbhds[i].d_in == 0:
                 assert got[i] == 0.0
 
-    def test_corrupt_cell_raises_before_the_mh_draw(self, device):
-        graph, bmap = self.graph(), self.BMAP
+    def test_dense_host_body_matches_dense_oracle(self, move_edge_cases):
+        graph, bmap, b, movers, proposals = move_edge_cases
+        dense = DenseBlockmodel.from_graph(graph, bmap, b)
+        ctx = move_context(graph, bmap, movers, proposals)
+        got = move_delta_cells(dense, ctx)
+        for i, v in enumerate(movers):
+            r, s = int(bmap[v]), int(proposals[i])
+            expected = move_delta_dense(
+                dense, r, s, neighborhood_of(graph, bmap, v)
+            )
+            assert got[i] == pytest.approx(expected, rel=1e-9, abs=1e-9)
+
+    def test_dense_and_csr_blockmodels_give_bit_equal_deltas(
+        self, device, move_edge_cases
+    ):
+        graph, bmap, b, movers, proposals = move_edge_cases
+        dense = DenseBlockmodel.from_graph(graph, bmap, b)
+        bm = BlockmodelCSR.from_dense(dense.matrix)
+        ctx = build_move_context(device, graph, bmap, movers, proposals)
+        on_dense = move_delta_cells(dense, ctx)
+        assert np.array_equal(on_dense, move_delta_cells(bm, ctx))
+        assert np.array_equal(on_dense, move_delta_batch(device, bm, ctx))
+
+    def test_dense_lookup_matches_csr_lookup(self, move_edge_cases):
+        graph, bmap, b, _, _ = move_edge_cases
+        dense = DenseBlockmodel.from_graph(graph, bmap, b)
+        bm = BlockmodelCSR.from_dense(dense.matrix)
+        rows, cols = np.divmod(np.arange(b * b), b)
+        got = dense.lookup(rows, cols)
+        assert got.dtype == bm.lookup(rows, cols).dtype
+        assert np.array_equal(got, bm.lookup(rows, cols))
+        assert np.array_equal(got, dense.matrix.ravel())
+
+    @staticmethod
+    def _corrupt_matrix(graph, bmap):
         matrix = DenseBlockmodel.from_graph(graph, bmap, 3).matrix.copy()
         # moving vertex 0 from block 0 to block 1 removes its out-edge
         # 0 -> 5 (weight 1) from M[0, 2]; zeroed, that cell goes negative
         assert matrix[0, 2] == 3
         matrix[0, 2] = 0
-        corrupt = BlockmodelCSR.from_dense(matrix)
+        return matrix
+
+    def test_corrupt_cell_raises_before_the_mh_draw(
+        self, device, move_edge_cases
+    ):
+        graph, bmap = move_edge_cases[:2]
+        corrupt = BlockmodelCSR.from_dense(self._corrupt_matrix(graph, bmap))
         ctx = build_move_context(
             device, graph, bmap, np.array([0]), np.array([1])
         )
@@ -269,3 +288,10 @@ class TestTouchedCellMoveDelta:
             delta = move_delta_batch(device, corrupt, ctx)
             accept_moves(device, delta, np.ones_like(delta), 3.0, rng)
         assert rng.bit_generator.state == before
+
+    def test_corrupt_cell_raises_on_the_dense_path(self, move_edge_cases):
+        graph, bmap = move_edge_cases[:2]
+        corrupt = DenseBlockmodel(self._corrupt_matrix(graph, bmap))
+        ctx = move_context(graph, bmap, np.array([0]), np.array([1]))
+        with pytest.raises(NumericalError):
+            move_delta_cells(corrupt, ctx)

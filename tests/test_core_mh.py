@@ -9,8 +9,8 @@ from conftest import graphs_with_partitions
 from repro.baselines.common import hastings_correction_dense, vertex_neighborhood
 from repro.blockmodel.blockmodel import BlockmodelCSR
 from repro.blockmodel.dense import DenseBlockmodel
-from repro.core.mh import accept_moves, hastings_correction_batch
-from repro.core.vertex_move import build_move_context
+from repro.core.mh import accept_moves, hastings_correction_batch, hastings_ratio
+from repro.core.vertex_move import build_move_context, move_context
 from repro.gpusim.device import A4000, Device
 
 
@@ -102,6 +102,36 @@ class TestHastingsBatch:
         out = hastings_correction_batch(device, bm, ctx)
         assert np.all(out > 0)
         assert np.all(np.isfinite(out))
+
+
+class TestHastingsHostBody:
+    """:func:`hastings_ratio` on the CPU baselines' dense blockmodel."""
+
+    def test_dense_matches_dense_oracle(self, move_edge_cases):
+        graph, bmap, b, movers, proposals = move_edge_cases
+        dense = DenseBlockmodel.from_graph(graph, bmap, b)
+        ctx = move_context(graph, bmap, movers, proposals)
+        got = hastings_ratio(dense, ctx)
+        for i, v in enumerate(movers):
+            r, s = int(bmap[v]), int(proposals[i])
+            if r == s:
+                continue
+            nbhd = vertex_neighborhood(graph, bmap, int(v))
+            expected = hastings_correction_dense(dense, r, s, nbhd)
+            assert got[i] == pytest.approx(expected, rel=1e-9), (v, r, s)
+
+    def test_dense_and_csr_blockmodels_give_bit_equal_ratios(
+        self, device, move_edge_cases
+    ):
+        graph, bmap, b, movers, proposals = move_edge_cases
+        dense = DenseBlockmodel.from_graph(graph, bmap, b)
+        bm = BlockmodelCSR.from_dense(dense.matrix)
+        ctx = build_move_context(device, graph, bmap, movers, proposals)
+        on_dense = hastings_ratio(dense, ctx)
+        assert np.array_equal(on_dense, hastings_ratio(bm, ctx))
+        assert np.array_equal(
+            on_dense, hastings_correction_batch(device, bm, ctx)
+        )
 
 
 @settings(max_examples=25, deadline=None)
