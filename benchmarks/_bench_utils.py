@@ -68,8 +68,8 @@ def ablation_workload(
 
 
 def write_bench_record(
-    name, workloads, *, seed=0, label="", extras=None, scaling=None,
-    filename=None
+    name, workloads, *, seed=0, repeats=1, label="", extras=None,
+    scaling=None, filename=None
 ):
     """Validate and write ``BENCH_<name>.json`` at the repository root.
 
@@ -81,7 +81,8 @@ def write_bench_record(
     """
     import json
 
-    record = new_record(label=label or name, seed=seed, repeats=1, warmup=0)
+    record = new_record(label=label or name, seed=seed, repeats=repeats,
+                        warmup=0)
     record["workloads"] = list(workloads)
     if extras:
         record["extras"] = dict(extras)

@@ -7,8 +7,6 @@ from .common import (
     vertex_neighborhood,
 )
 from .edist import CommStats, EDiStPartitioner
-from .fastersbp import FasterSBPPartitioner, aggressive_initial_merge
-from .hsbp import HSBPPartitioner
 from .isbp import ISBPPartitioner, extend_partition, sample_subgraph
 from .reference import ReferenceSBP
 from .usap import USAPPartitioner, scc_initial_partition
@@ -20,9 +18,6 @@ __all__ = [
     "vertex_neighborhood",
     "CommStats",
     "EDiStPartitioner",
-    "FasterSBPPartitioner",
-    "aggressive_initial_merge",
-    "HSBPPartitioner",
     "ISBPPartitioner",
     "extend_partition",
     "sample_subgraph",

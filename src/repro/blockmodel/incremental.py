@@ -32,10 +32,8 @@ Because the blockmodel arrays are exact integers, delta application is
 rebuild-based run, which the integrity auditor (comparing against a
 from-scratch rebuild) verifies on every audited site.
 
-A configurable cadence (``SBPConfig.incremental_rebuild_every``) can
-force periodic full rebuilds, and batches touching more than
-``SBPConfig.incremental_fallback_fraction`` of all blocks fall back to
-the full rebuild automatically — at that density Algorithm 2's
+Batches touching more than :data:`FALLBACK_FRACTION` of all blocks
+fall back to the full rebuild — at that density Algorithm 2's
 sequential-memory passes beat scattered row surgery.
 """
 
@@ -57,6 +55,9 @@ from .update import rebuild_blockmodel
 
 __all__ = ["IncrementalBlockmodel"]
 
+#: A batch touching more than this fraction of the blocks is applied
+#: with one full rebuild instead of the sparse patch.
+FALLBACK_FRACTION = 0.9
 #: Slack entries appended to every row when padded storage is (re)built.
 _ROW_SLACK = 16
 #: Minimum capacity a regrown row receives.
@@ -217,14 +218,12 @@ class IncrementalBlockmodel:
         graph: DiGraphCSR,
         *,
         rebuild_fn: Callable[..., BlockmodelCSR] = rebuild_blockmodel,
-        rebuild_every: int = 0,
-        fallback_fraction: float = 0.9,
+        fallback_fraction: float = FALLBACK_FRACTION,
         obs: Optional[Observability] = None,
     ) -> None:
         self.device = device
         self.graph = graph
         self.rebuild_fn = rebuild_fn
-        self.rebuild_every = int(rebuild_every)
         self.fallback_fraction = float(fallback_fraction)
         self.obs = obs or NULL_OBS
         self.update_time_s = 0.0
@@ -235,7 +234,6 @@ class IncrementalBlockmodel:
         self._bm: Optional[BlockmodelCSR] = None
         self._out: Optional[_PaddedRows] = None
         self._in: Optional[_PaddedRows] = None
-        self._since_rebuild = 0
         # Persistent V-sized scratch for marking the movers of a batch.
         self._is_mover = np.zeros(graph.num_vertices, dtype=bool)
         self._old_block = np.zeros(graph.num_vertices, dtype=INDEX_DTYPE)
@@ -253,7 +251,6 @@ class IncrementalBlockmodel:
         self._bm = blockmodel
         self._out = None
         self._in = None
-        self._since_rebuild = 0
 
     def ensure(self, blockmodel: BlockmodelCSR) -> None:
         """Attach to *blockmodel* unless it is already the tracked one."""
@@ -262,24 +259,6 @@ class IncrementalBlockmodel:
 
     def _count(self, name: str, help_text: str, amount: int = 1) -> None:
         self.obs.count(name, amount, help=help_text)
-
-    # ------------------------------------------------------------------
-    def rebuild(
-        self, bmap: IndexArray, num_blocks: int, phase: Optional[str]
-    ) -> BlockmodelCSR:
-        """Full Algorithm-2 rebuild; resets the padded storage."""
-        t0 = time.perf_counter()
-        try:
-            bm = self.rebuild_fn(self.device, self.graph, bmap, num_blocks, phase)
-            self.reset(bm)
-            self.full_rebuilds += 1
-            self._count(
-                "blockmodel_full_rebuilds_total",
-                "full Algorithm-2 blockmodel rebuilds",
-            )
-            return bm
-        finally:
-            self.update_time_s += time.perf_counter() - t0
 
     # ------------------------------------------------------------------
     def apply_batch(
@@ -300,9 +279,8 @@ class IncrementalBlockmodel:
             Accepted vertices and their old (``r``) / new (``s``) blocks;
             ``r != s`` for every entry (the MH step filters no-ops).
 
-        Returns the new blockmodel.  Falls back to a full rebuild on the
-        configured cadence or when the batch touches more than
-        ``fallback_fraction`` of all blocks.
+        Returns the new blockmodel.  Falls back to a full rebuild when
+        the batch touches more than ``fallback_fraction`` of all blocks.
         """
         if self._bm is None:
             raise PartitionError(
@@ -330,15 +308,13 @@ class IncrementalBlockmodel:
         s = np.asarray(new_blocks, dtype=INDEX_DTYPE)
         touched = np.unique(np.concatenate((r, s)))
 
-        if self.rebuild_every and self._since_rebuild + 1 >= self.rebuild_every:
-            return self.rebuild_fn_with_count(bmap, num_blocks, phase)
         if len(touched) > self.fallback_fraction * num_blocks:
             self.fallbacks += 1
             self._count(
                 "blockmodel_incremental_fallbacks_total",
                 "incremental batches that fell back to a full rebuild",
             )
-            return self.rebuild_fn_with_count(bmap, num_blocks, phase)
+            return self._rebuild(bmap, num_blocks, phase)
 
         if self._out is None:
             self._build_padded()
@@ -365,7 +341,6 @@ class IncrementalBlockmodel:
 
         new_bm = self._materialize(num_blocks, deg_out, deg_in, phase)
         self._bm = new_bm
-        self._since_rebuild += 1
         self.incremental_updates += 1
         self._count(
             "blockmodel_incremental_updates_total",
@@ -373,10 +348,10 @@ class IncrementalBlockmodel:
         )
         return new_bm
 
-    def rebuild_fn_with_count(
+    def _rebuild(
         self, bmap: IndexArray, num_blocks: int, phase: Optional[str]
     ) -> BlockmodelCSR:
-        """Full rebuild *without* re-entering the public timer."""
+        """Full Algorithm-2 rebuild; resets the padded storage."""
         bm = self.rebuild_fn(self.device, self.graph, bmap, num_blocks, phase)
         self.reset(bm)
         self.full_rebuilds += 1

@@ -145,11 +145,6 @@ def _add_partition(sub: argparse._SubParsersAction) -> None:
              "with Algorithm 2 after every accepted batch (GSAP only)",
     )
     p.add_argument(
-        "--incremental-rebuild-every", type=int, default=0, metavar="N",
-        help="force a full rebuild every N incremental batch "
-             "applications (0 = pure incremental; GSAP only)",
-    )
-    p.add_argument(
         "--audit", action="store_true",
         help="audit blockmodel invariants during the run (GSAP only)",
     )
@@ -194,16 +189,9 @@ def _cmd_partition(args: argparse.Namespace) -> int:
     config = SBPConfig(seed=args.seed)
     if args.no_incremental:
         config = config.replace(incremental_updates=False)
-    if args.incremental_rebuild_every:
-        config = config.replace(
-            incremental_rebuild_every=args.incremental_rebuild_every
-        )
-    if (args.no_incremental or args.incremental_rebuild_every) and (
-        args.algo != "GSAP"
-    ):
+    if args.no_incremental and args.algo != "GSAP":
         print(
-            f"--no-incremental/--incremental-rebuild-every are only "
-            f"supported for GSAP, not {args.algo}",
+            f"--no-incremental is only supported for GSAP, not {args.algo}",
             file=sys.stderr,
         )
         return 2

@@ -211,18 +211,6 @@ class SBPConfig:
         partitions to the rebuild path — so this is purely a
         performance knob.  The resilience ladder drops back to full
         rebuilds under persistent device faults.
-    incremental_rebuild_every:
-        Force a full Algorithm-2 rebuild every N incremental batch
-        applications (0, the default, means pure incremental — the
-        delta algebra is exact integer arithmetic, so drift-flushing
-        rebuilds are unnecessary and exist only as a belt-and-braces
-        knob for production paranoia).
-    incremental_fallback_fraction:
-        When an accepted batch touches more than this fraction of the
-        blocks, one full rebuild is cheaper than the sparse patch (the
-        delta covers most rows anyway); the maintainer falls back to
-        :func:`~repro.blockmodel.update.rebuild_blockmodel` for that
-        batch.  1.0 disables the cost-model fallback.
     seed:
         Master RNG seed; every stochastic component derives its stream
         from this value, making runs reproducible.
@@ -247,8 +235,6 @@ class SBPConfig:
     beta: float = 3.0
     min_blocks: int = 1
     incremental_updates: bool = True
-    incremental_rebuild_every: int = 0
-    incremental_fallback_fraction: float = 0.9
     seed: int = 0
     resilience: ResilienceConfig = field(default_factory=ResilienceConfig)
     observability: ObservabilityConfig = field(
@@ -310,19 +296,6 @@ class SBPConfig:
             raise ConfigError(f"beta must be positive and finite, got {self.beta!r}")
         if self.min_blocks < 1:
             raise ConfigError(f"min_blocks must be >= 1, got {self.min_blocks!r}")
-        if self.incremental_rebuild_every < 0:
-            raise ConfigError(
-                "incremental_rebuild_every must be >= 0, got "
-                f"{self.incremental_rebuild_every!r}"
-            )
-        if (
-            not (0.0 <= self.incremental_fallback_fraction <= 1.0)
-            or not math.isfinite(self.incremental_fallback_fraction)
-        ):
-            raise ConfigError(
-                "incremental_fallback_fraction must lie in [0, 1], got "
-                f"{self.incremental_fallback_fraction!r}"
-            )
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed!r}")
 

@@ -209,8 +209,6 @@ class GSAPPartitioner:
             incremental = IncrementalBlockmodel(
                 device, graph,
                 rebuild_fn=rebuild_fn,
-                rebuild_every=config.incremental_rebuild_every,
-                fallback_fraction=config.incremental_fallback_fraction,
                 obs=obs,
             )
 

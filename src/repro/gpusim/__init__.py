@@ -26,7 +26,6 @@ from .memory import (
 )
 from .profiler import KernelRecord, PhaseSummary, Profiler, TransferRecord
 from .stream import Event, Stream, overlap_time_s
-from .taskgraph import ExecutableGraph, GraphNode, TaskGraph
 from .curand import (
     LookupTables,
     build_lookup_tables,
@@ -61,9 +60,6 @@ __all__ = [
     "Event",
     "Stream",
     "overlap_time_s",
-    "ExecutableGraph",
-    "GraphNode",
-    "TaskGraph",
     "LookupTables",
     "build_lookup_tables",
     "multinomial_neighbor_table",

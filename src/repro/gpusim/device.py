@@ -208,10 +208,6 @@ class Device:
             return
         self._digests[allocation_id] = (entry[0], buffer_digest(array))
 
-    def forget_buffer(self, allocation_id: int) -> None:
-        """Drop the digest entry for an allocation (idempotent)."""
-        self._digests.pop(allocation_id, None)
-
     def verify_buffers(self) -> List[BufferMismatch]:
         """Sweep all registered buffers; return those whose bytes changed.
 

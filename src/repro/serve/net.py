@@ -50,6 +50,7 @@ import uuid
 from typing import Optional
 
 from ..config import SBPConfig
+from ..errors import ReproError
 from ..graph.builder import build_graph
 from ..logging_util import get_logger
 from ..obs.trace import TraceContext
@@ -158,7 +159,7 @@ class ServeFrontend:
                 summary = await self.server.shutdown(mode)
                 return {"ok": True, "op": "shutdown", "summary": summary}
             return {"ok": False, "error": f"unknown op {op!r}"}
-        except (ValueError, TypeError, KeyError) as exc:
+        except (ReproError, ValueError, TypeError, KeyError) as exc:
             return {"ok": False, "op": op,
                     "error": f"{type(exc).__name__}: {exc}"}
 

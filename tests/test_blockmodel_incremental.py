@@ -201,23 +201,6 @@ class TestFallbackAndCadence:
             bm, rebuild_blockmodel(device, graph, bmap, num_blocks)
         )
 
-    def test_rebuild_cadence(self):
-        graph, device, bmap, num_blocks, inc = self._setup(
-            rebuild_every=2, fallback_fraction=1.0
-        )
-        rng = np.random.default_rng(0)
-        for _ in range(4):
-            movers, old, new = _random_batch(rng, bmap, num_blocks, 8)
-            bmap[movers] = new
-            inc.apply_batch(bmap, movers, old, new)
-        # every second application is forced through Algorithm 2
-        assert inc.full_rebuilds == 2
-        assert inc.incremental_updates == 2
-        _assert_models_identical(
-            inc.blockmodel,
-            rebuild_blockmodel(device, graph, bmap, num_blocks),
-        )
-
 
 class TestUnionFindLabels:
     """Vectorized pointer-jumping must match sequential find()."""

@@ -11,8 +11,6 @@ import pytest
 
 from repro.baselines import (
     EDiStPartitioner,
-    FasterSBPPartitioner,
-    HSBPPartitioner,
     ISBPPartitioner,
     ReferenceSBP,
     USAPPartitioner,
@@ -29,8 +27,6 @@ ALL_ENGINES = [
     ReferenceSBP,
     USAPPartitioner,
     ISBPPartitioner,
-    FasterSBPPartitioner,
-    HSBPPartitioner,
     EDiStPartitioner,
 ]
 
@@ -52,9 +48,9 @@ def arena():
 
 
 class TestAllEnginesAgree:
-    def test_all_seven_ran(self, arena):
+    def test_all_engines_ran(self, arena):
         _, _, results = arena
-        assert len(results) == 7
+        assert len(results) == len(ALL_ENGINES)
 
     def test_everyone_recovers_structure(self, arena):
         _, truth, results = arena

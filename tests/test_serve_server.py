@@ -436,15 +436,35 @@ class TestServeFrontend:
                 "config": {"seed": 5}, "include_partition": True,
             })
             bad = await ask({"op": "nonsense"})
+            # a config or graph the library rejects gets a reply, and
+            # the connection stays usable
+            bad_config = await ask({
+                "op": "partition", "src": [0, 1], "dst": [1, 0],
+                "config": {"beta": -1.0},
+            })
+            bad_graph = await ask({
+                "op": "partition", "src": [0, -1], "dst": [1, 0],
+            })
+            unknown_key = await ask({
+                "op": "partition", "src": [0, 1], "dst": [1, 0],
+                "config": {"incremental_rebuild_every": 2},
+            })
             stats = await ask({"op": "stats"})
             down = await ask({"op": "shutdown", "mode": "drain"})
             writer.close()
             await frontend.close()
-            return part, bad, stats, down
+            return part, bad, bad_config, bad_graph, unknown_key, stats, down
 
-        part, bad, stats, down = asyncio.run(run())
+        part, bad, bad_config, bad_graph, unknown_key, stats, down = (
+            asyncio.run(run())
+        )
         assert part["ok"] and part["status"] == "completed"
         assert len(part["partition"]) == graph.num_vertices
         assert not bad["ok"]
+        assert not bad_config["ok"] and bad_config["op"] == "partition"
+        assert bad_config["error"].startswith("ConfigError:")
+        assert not bad_graph["ok"]
+        assert bad_graph["error"].startswith("GraphFormatError:")
+        assert unknown_key["error"].startswith("TypeError:")
         assert stats["stats"]["outcomes"]["completed"] == 1
         assert down["ok"] and down["summary"]["unresolved"] == 0
