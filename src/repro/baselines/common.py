@@ -3,9 +3,11 @@
 The baselines model the paper's comparison systems (uSAP, I-SBP and the
 GraphChallenge reference they both descend from): sequential or
 coarsely-batched MCMC over a *dense* blockmodel updated in place after
-every accepted move.  Where GSAP evaluates every proposal of a phase in
-one batched device pass, these engines walk vertices one at a time —
-the per-vertex iterative structure whose cost the paper's figures measure.
+every batch of moves.  Where GSAP evaluates every proposal of a phase in
+one batched device pass, these engines draw proposals one vertex at a
+time and refresh the blockmodel after every batch — one vertex for the
+reference's serial chain, a wave of vertices for uSAP and I-SBP.  Each
+batch is scored by the one vertex-move body of :mod:`.moves`.
 
 The substitution note of DESIGN.md §2 applies: the paper's baselines are
 C++ with 20 CPU threads; ours are Python loops.  Both sit on the
@@ -16,8 +18,8 @@ is preserved even though absolute times differ.
 
 from __future__ import annotations
 
-import math
 import time
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -27,7 +29,6 @@ from ..blockmodel.delta import (
     VertexNeighborhood,
     _move_new_rows_cols_dense,
     merge_delta_dense,
-    move_delta_dense,
 )
 from ..blockmodel.dense import DenseBlockmodel
 from ..blockmodel.entropy import description_length
@@ -35,88 +36,18 @@ from ..config import SBPConfig
 from ..core.golden_section import GoldenSectionSearch
 from ..core.result import PartitionResult
 from ..core.state import PartitionSnapshot, PhaseTimings, ProposalStats
+from ..core.vertex_move import sweep_converged
 from ..errors import PartitionError
 from ..graph.csr import DiGraphCSR
 from ..logging_util import get_logger
 from ..rng import StreamFactory
 from ..types import FLOAT_DTYPE, INDEX_DTYPE
+# Merge proposals look propose_from_blockmodel up here; vertex moves
+# call it inside .moves.  vertex_neighborhood is re-exported.
+from .moves import apply_moves, propose_from_blockmodel, score_moves
+from .moves import vertex_neighborhood  # noqa: F401
 
 logger = get_logger("baselines")
-
-
-def vertex_neighborhood(
-    graph: DiGraphCSR, bmap: np.ndarray, v: int
-) -> VertexNeighborhood:
-    """Aggregate vertex *v*'s adjacency by block (self-loops split out)."""
-    onbr, ow = graph.out_neighbors(v)
-    inbr, iw = graph.in_neighbors(v)
-    self_w = int(ow[onbr == v].sum())
-    keep_o = onbr != v
-    keep_i = inbr != v
-    ob = bmap[onbr[keep_o]]
-    ib = bmap[inbr[keep_i]]
-    if len(ob):
-        ub, inv = np.unique(ob, return_inverse=True)
-        uw = np.bincount(inv, weights=ow[keep_o].astype(FLOAT_DTYPE))
-    else:
-        ub = np.empty(0, dtype=INDEX_DTYPE)
-        uw = np.empty(0, dtype=FLOAT_DTYPE)
-    if len(ib):
-        vb, vinv = np.unique(ib, return_inverse=True)
-        vw = np.bincount(vinv, weights=iw[keep_i].astype(FLOAT_DTYPE))
-    else:
-        vb = np.empty(0, dtype=INDEX_DTYPE)
-        vw = np.empty(0, dtype=FLOAT_DTYPE)
-    return VertexNeighborhood(
-        k_out_blocks=ub.astype(INDEX_DTYPE),
-        k_out_weights=uw,
-        k_in_blocks=vb.astype(INDEX_DTYPE),
-        k_in_weights=vw,
-        self_weight=self_w,
-    )
-
-
-def propose_from_blockmodel(
-    model: DenseBlockmodel,
-    pivot_candidates: np.ndarray,
-    pivot_weights: np.ndarray,
-    rng: np.random.Generator,
-    exclude: Optional[int] = None,
-) -> int:
-    """The CPU proposal rule (the per-proposal work GSAP amortises away).
-
-    Sample a pivot block ``u`` by *pivot_weights*; with probability
-    ``B/(deg(u)+B)`` return a uniform random block, otherwise sample a
-    block from row+column ``u`` of the blockmodel.  When *exclude* is
-    given (merge proposals) the excluded block is never returned.
-    """
-    b = model.num_blocks
-    deg = model.deg_out + model.deg_in
-
-    def random_block() -> int:
-        if exclude is None:
-            return int(rng.integers(0, b))
-        pick = int(rng.integers(0, b - 1))
-        return pick + (pick >= exclude)
-
-    total = pivot_weights.sum()
-    if len(pivot_candidates) == 0 or total <= 0:
-        return random_block()
-    u = int(pivot_candidates[
-        np.searchsorted(np.cumsum(pivot_weights), rng.random() * total, side="right")
-    ])
-    if rng.random() <= b / (deg[u] + b):
-        return random_block()
-    row = model.matrix[u, :].astype(FLOAT_DTYPE)
-    col = model.matrix[:, u].astype(FLOAT_DTYPE)
-    weights = row + col
-    if exclude is not None:
-        weights[exclude] = 0.0
-    total = weights.sum()
-    if total <= 0:
-        return random_block()
-    csum = np.cumsum(weights)
-    return int(np.searchsorted(csum, rng.random() * total, side="right"))
 
 
 def hastings_correction_dense(
@@ -150,16 +81,15 @@ class MovePhaseResult:
     num_sweeps: int
     num_proposals: int
     proposal_time_s: float
-    converged: bool
 
 
 class CPUSBPEngine:
     """Sequential SBP engine the baseline partitioners specialise.
 
     Subclasses override :meth:`initial_partition` (uSAP's SCC seeding,
-    I-SBP's sample-extend) and :meth:`move_batch_indices` (sequential vs
-    async-Gibbs batching); the merge/move statistics are shared and exact
-    (the same :mod:`repro.blockmodel.delta` oracles the tests pin down).
+    I-SBP's sample-extend) and :meth:`move_batch_size` (sequential vs
+    async-Gibbs batching); the merge statistics (``merge_delta_dense``)
+    and the vertex-move body (:mod:`.moves`) are shared and exact.
     """
 
     name = "cpu-sbp"
@@ -201,7 +131,7 @@ class CPUSBPEngine:
         total_weight = graph.total_edge_weight
 
         bmap = self.initial_partition(graph, streams.get("init"))
-        bmap = self._compact(bmap)
+        bmap = np.unique(bmap, return_inverse=True)[1].astype(INDEX_DTYPE)
         num_blocks = int(bmap.max()) + 1
         if num_blocks > self.max_dense_blocks:
             raise PartitionError(
@@ -276,13 +206,6 @@ class CPUSBPEngine:
         )
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _compact(bmap: np.ndarray) -> np.ndarray:
-        used = np.unique(bmap)
-        remap = np.full(int(used.max()) + 1, -1, dtype=INDEX_DTYPE)
-        remap[used] = np.arange(len(used), dtype=INDEX_DTYPE)
-        return remap[bmap]
-
     def _merge_phase(
         self,
         model: DenseBlockmodel,
@@ -291,7 +214,8 @@ class CPUSBPEngine:
         rng: np.random.Generator,
         graph: DiGraphCSR,
     ) -> Tuple[np.ndarray, DenseBlockmodel, int, float]:
-        """Sequential per-block merge proposals, then apply the cheapest."""
+        """Per-block merge proposals, each block's scored in one call, then
+        apply the cheapest."""
         config = self.config
         proposals_evaluated = 0
         proposal_time = 0.0
@@ -309,15 +233,16 @@ class CPUSBPEngine:
                 col = model.matrix[:, r].astype(FLOAT_DTYPE)
                 weights = row + col
                 cands = np.flatnonzero(weights)
-                for _ in range(config.num_proposals):
-                    s = propose_from_blockmodel(
+                targets = np.array([
+                    propose_from_blockmodel(
                         model, cands, weights[cands], rng, exclude=r
                     )
-                    delta = merge_delta_dense(model, r, s)
-                    proposals_evaluated += 1
-                    if delta < best_delta[r]:
-                        best_delta[r] = delta
-                        best_proposal[r] = s
+                    for _ in range(config.num_proposals)
+                ])
+                deltas = merge_delta_dense(model, r, targets)
+                proposals_evaluated += len(targets)
+                first_min = int(np.argmin(deltas))  # first strict minimum
+                best_delta[r], best_proposal[r] = deltas[first_min], targets[first_min]
             proposal_time += time.perf_counter() - t0
             # apply the (b - target) cheapest merges via union-find
             from ..core.block_merge import apply_merges
@@ -345,71 +270,28 @@ class CPUSBPEngine:
         total_weight = graph.total_edge_weight
         batch_size = max(1, self.move_batch_size(num_vertices))
         mdl = description_length(model, num_vertices, total_weight)
-        scale = abs(initial_mdl_scale)
-        window: list[float] = []
-        proposals = 0
+        tolerance = threshold * abs(initial_mdl_scale)
+        window = deque(maxlen=config.delta_entropy_moving_avg_window)
         proposal_time = 0.0
-        converged = False
         sweeps = 0
-        v_adj = None  # combined adjacency cache for proposals
         for sweep in range(config.max_num_nodal_itr):
             sweeps = sweep + 1
             order = rng.permutation(num_vertices)
+            # batch_size == 1 is the classic serial MCMC chain
             for start in range(0, num_vertices, batch_size):
-                batch = order[start : start + batch_size]
-                pending: list[tuple[int, int, VertexNeighborhood]] = []
-                for v in batch:
-                    v = int(v)
-                    r = int(bmap[v])
-                    nbhd = vertex_neighborhood(graph, bmap, v)
-                    t0 = time.perf_counter()
-                    pivots = np.concatenate(
-                        [nbhd.k_out_blocks, nbhd.k_in_blocks]
-                    )
-                    pivot_w = np.concatenate(
-                        [nbhd.k_out_weights, nbhd.k_in_weights]
-                    )
-                    s = propose_from_blockmodel(model, pivots, pivot_w, rng)
-                    proposal_time += time.perf_counter() - t0
-                    proposals += 1
-                    if s == r:
-                        continue
-                    delta = move_delta_dense(model, r, s, nbhd)
-                    hastings = hastings_correction_dense(model, r, s, nbhd)
-                    exponent = min(700.0, max(-700.0, -config.beta * delta))
-                    p_accept = min(1.0, math.exp(exponent) * hastings)
-                    if rng.random() < p_accept:
-                        pending.append((v, s, nbhd))
-                # apply the batch (batch_size == 1 → classic serial MCMC)
-                for v, s, nbhd in pending:
-                    r = int(bmap[v])
-                    if r == s:
-                        continue
-                    if batch_size > 1:
-                        # async-Gibbs: the neighbourhood may be stale;
-                        # recompute against the current Bmap for a
-                        # consistent in-place update.
-                        nbhd = vertex_neighborhood(graph, bmap, v)
-                    model.apply_move(
-                        r, s,
-                        nbhd.k_out_blocks, nbhd.k_out_weights.astype(np.int64),
-                        nbhd.k_in_blocks, nbhd.k_in_weights.astype(np.int64),
-                        nbhd.self_weight,
-                    )
-                    bmap[v] = s
+                moves, prop_s = score_moves(
+                    graph, model, bmap, order[start : start + batch_size],
+                    rng, config.beta,
+                )
+                proposal_time += prop_s
+                apply_moves(graph, model, bmap, moves)
             new_mdl = description_length(model, num_vertices, total_weight)
-            window.append(mdl - new_mdl)
-            mdl = new_mdl
-            if len(window) > config.delta_entropy_moving_avg_window:
-                window.pop(0)
-            if len(window) == config.delta_entropy_moving_avg_window:
-                if abs(sum(window) / len(window)) < threshold * scale:
-                    converged = True
-                    break
+            delta_mdl, mdl = mdl - new_mdl, new_mdl
+            if sweep_converged(window, delta_mdl, tolerance):
+                break
         return MovePhaseResult(
             mdl=mdl,
             num_sweeps=sweeps,
-            num_proposals=proposals,
+            num_proposals=sweeps * num_vertices,
             proposal_time_s=proposal_time,
-            converged=converged,
         )

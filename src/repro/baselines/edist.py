@@ -16,37 +16,32 @@ retransmission, a heartbeat failure detector spots crashed ranks at the
 round barrier, and survivors re-shard and continue after a deterministic
 recovery audit.
 
-Rank-local evaluation is one batched pass per shard against the replica
-frozen at round start: one :func:`~repro.core.vertex_move.move_context`
-for the permuted shard, a per-vertex loop that only draws proposals,
-then one :func:`~repro.blockmodel.delta.move_delta_cells` and one
-:func:`~repro.core.mh.hastings_ratio` on the dense replica — the host
-bodies GSAP's vertex-move kernels run.  Neither the replica nor ``Bmap``
-changes before the apply phase, so the batch sees what a per-vertex
-loop would.  The acceptance uniform is drawn in the proposal loop
-exactly when ``s != r``, as the per-vertex MH test did, so the random
-stream is unchanged.  Two oracles pin the refactor down (see
-``docs/distributed.md``): a fault-free run is byte-identical to the
-direct in-process exchange, and recovery runs land within an MDL
-tolerance of fault-free ones.
+Rank-local evaluation is one call of the CPU engines' shared move body,
+:func:`~repro.baselines.moves.score_moves`, per shard against the
+replica frozen at round start: the proposals are drawn vertex by vertex,
+then the shard is scored in one pass by the host bodies GSAP's
+vertex-move kernels run.  Neither the replica nor ``Bmap`` changes
+before the apply phase, which hands the round's global move set to
+:func:`~repro.baselines.moves.apply_moves` in rank order.  Two oracles
+pin the distributed layer down (see ``docs/distributed.md``): a
+fault-free run is byte-identical to the direct in-process exchange, and
+recovery runs land within an MDL tolerance of fault-free ones.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import time
+from collections import deque
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Union
 
 import numpy as np
 
-from ..blockmodel.delta import move_delta_cells
 from ..blockmodel.dense import DenseBlockmodel
 from ..blockmodel.entropy import description_length
 from ..config import SBPConfig
-from ..core.mh import hastings_ratio
-from ..core.vertex_move import move_context
+from ..core.vertex_move import sweep_converged
 from ..dist import (
     MOVE_RECORD_BYTES,
     Communicator,
@@ -66,16 +61,13 @@ from ..logging_util import get_logger
 from ..obs import FlightRecorder, Observability
 from ..resilience.faults import FaultPlan
 from ..resilience.retry import FaultBudget, RetryPolicy
-from .common import (
-    CPUSBPEngine,
-    MovePhaseResult,
-    propose_from_blockmodel,
-    vertex_neighborhood,
-)
-# The per-vertex oracles are unused here; they stay module attributes
-# so tools that wrap the EDiSt entry points by name still find them.
+from .common import CPUSBPEngine, MovePhaseResult
+from .moves import Move, apply_moves, score_moves
+# Unused here; they stay module attributes so tools that wrap the EDiSt
+# entry points by name still find them.
 from ..blockmodel.delta import move_delta_dense  # noqa: F401
 from .common import hastings_correction_dense  # noqa: F401
+from .moves import propose_from_blockmodel, vertex_neighborhood  # noqa: F401
 
 __all__ = ["CommStats", "DistStats", "EDiStPartitioner", "MOVE_RECORD_BYTES"]
 
@@ -281,11 +273,10 @@ class EDiStPartitioner(CPUSBPEngine):
         ring = MoveLogRing(bmap, capacity=self.move_log_capacity)
 
         mdl = description_length(model, num_vertices, total_weight)
-        scale = abs(initial_mdl_scale)
-        window: list[float] = []
+        tolerance = threshold * abs(initial_mdl_scale)
+        window = deque(maxlen=config.delta_entropy_moving_avg_window)
         proposals = 0
         proposal_time = 0.0
-        converged = False
         sweeps = 0
         attempts = 0
 
@@ -301,43 +292,15 @@ class EDiStPartitioner(CPUSBPEngine):
             # replica frozen at round start (stale reads are the point)
             lanes = self.lanes
             compute_s: Dict[int, float] = {}
-            accepted_per_rank: Dict[int, List[Tuple[int, int, int]]] = {}
+            accepted_per_rank: Dict[int, List[Move]] = {}
             for rank in sorted(shard_map):
                 rank_t0 = time.perf_counter() if lanes else 0.0
                 order = rng.permutation(shard_map[rank])
-                ctx = move_context(graph, bmap, order, bmap[order])
-                s_all = ctx.s.copy()
-                # the uniform is drawn exactly when s != r, as a
-                # per-vertex MH test would, so the stream is unchanged
-                u = np.ones(len(order))
-                for i in range(len(order)):
-                    t0 = time.perf_counter()
-                    o_lo, o_hi = ctx.kout_ptr[i], ctx.kout_ptr[i + 1]
-                    i_lo, i_hi = ctx.kin_ptr[i], ctx.kin_ptr[i + 1]
-                    pivots = np.concatenate(
-                        [ctx.kout_blk[o_lo:o_hi], ctx.kin_blk[i_lo:i_hi]]
-                    )
-                    pivot_w = np.concatenate(
-                        [ctx.kout_w[o_lo:o_hi], ctx.kin_w[i_lo:i_hi]]
-                    )
-                    s = propose_from_blockmodel(model, pivots, pivot_w, rng)
-                    proposal_time += time.perf_counter() - t0
-                    proposals += 1
-                    s_all[i] = s
-                    if s != ctx.r[i]:
-                        u[i] = rng.random()
-                ctx = dataclasses.replace(ctx, s=s_all)
-                delta = move_delta_cells(model, ctx)
-                hastings = hastings_ratio(model, ctx)
-                exponent = np.clip(-config.beta * delta, -700.0, 700.0)
-                accept = (ctx.r != ctx.s) & (
-                    u < np.minimum(1.0, np.exp(exponent) * hastings)
+                accepted_per_rank[rank], prop_s = score_moves(
+                    graph, model, bmap, order, rng, config.beta
                 )
-                accepted_per_rank[rank] = [
-                    (int(v), int(r), int(s))
-                    for v, r, s in zip(order[accept], ctx.r[accept],
-                                       ctx.s[accept])
-                ]
+                proposal_time += prop_s
+                proposals += len(order)
                 if lanes:
                     compute_s[rank] = time.perf_counter() - rank_t0
 
@@ -404,7 +367,7 @@ class EDiStPartitioner(CPUSBPEngine):
             # in rank order (the shared model/bmap stand in for the
             # replicas, exactly like the sequential-rank substitution)
             apply_t0 = time.perf_counter() if lanes else 0.0
-            applied: List[Tuple[int, int, int]] = []
+            round_moves: List[Move] = []
             for rank in sorted(accepted_per_rank):
                 moves = accepted_per_rank[rank]
                 if rank != min(accepted_per_rank):
@@ -415,19 +378,8 @@ class EDiStPartitioner(CPUSBPEngine):
                     ).get(rank)
                     if received:
                         moves = unpack_moves(received)
-                for v, r, s in moves:
-                    current = int(bmap[v])
-                    if current == s:
-                        continue
-                    nbhd = vertex_neighborhood(graph, bmap, v)
-                    model.apply_move(
-                        current, s,
-                        nbhd.k_out_blocks, nbhd.k_out_weights.astype(np.int64),
-                        nbhd.k_in_blocks, nbhd.k_in_weights.astype(np.int64),
-                        nbhd.self_weight,
-                    )
-                    bmap[v] = s
-                    applied.append((v, r, s))
+                round_moves.extend(moves)
+            applied = apply_moves(graph, model, bmap, round_moves)
             ring.append(round_index, applied)
             if lanes:
                 lanes.record_round(
@@ -439,19 +391,13 @@ class EDiStPartitioner(CPUSBPEngine):
                 )
 
             new_mdl = description_length(model, num_vertices, total_weight)
-            window.append(mdl - new_mdl)
-            mdl = new_mdl
+            delta_mdl, mdl = mdl - new_mdl, new_mdl
             sweeps += 1
-            if len(window) > config.delta_entropy_moving_avg_window:
-                window.pop(0)
-            if len(window) == config.delta_entropy_moving_avg_window:
-                if abs(sum(window) / len(window)) < threshold * scale:
-                    converged = True
-                    break
+            if sweep_converged(window, delta_mdl, tolerance):
+                break
         return MovePhaseResult(
             mdl=mdl,
             num_sweeps=sweeps,
             num_proposals=proposals,
             proposal_time_s=proposal_time,
-            converged=converged,
         )

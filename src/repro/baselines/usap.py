@@ -48,11 +48,7 @@ def scc_initial_partition(
     fresh = int(labels.max()) + 1
     idx = np.flatnonzero(too_big)
     out[idx] = fresh + np.arange(len(idx), dtype=INDEX_DTYPE)
-    # compact
-    used = np.unique(out)
-    remap = np.full(int(used.max()) + 1, -1, dtype=INDEX_DTYPE)
-    remap[used] = np.arange(len(used), dtype=INDEX_DTYPE)
-    return remap[out]
+    return np.unique(out, return_inverse=True)[1].astype(INDEX_DTYPE)
 
 
 class USAPPartitioner(CPUSBPEngine):

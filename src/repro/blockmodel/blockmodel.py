@@ -51,7 +51,6 @@ class BlockmodelCSR:
     deg_in: WeightArray
 
     _out_keys: Optional[np.ndarray] = field(default=None, repr=False)
-    _in_keys: Optional[np.ndarray] = field(default=None, repr=False)
 
     # ------------------------------------------------------------------
     @property
@@ -75,18 +74,13 @@ class BlockmodelCSR:
         lengths = ptr[1:] - ptr[:-1]
         return np.repeat(np.arange(self.num_blocks, dtype=INDEX_DTYPE), lengths)
 
-    def _ensure_keys(self) -> None:
-        if self._out_keys is None:
-            b = max(self.num_blocks, 1)
-            self._out_keys = self._row_ids(self.out_ptr) * b + self.out_nbr
-            self._in_keys = self._row_ids(self.in_ptr) * b + self.in_nbr
-
     def lookup(self, rows: np.ndarray, cols: np.ndarray) -> WeightArray:
         """Vectorized ``M[rows[i], cols[i]]`` (0 where absent)."""
-        self._ensure_keys()
+        b = max(self.num_blocks, 1)
+        if self._out_keys is None:
+            self._out_keys = self._row_ids(self.out_ptr) * b + self.out_nbr
         rows = np.asarray(rows, dtype=INDEX_DTYPE)
         cols = np.asarray(cols, dtype=INDEX_DTYPE)
-        b = max(self.num_blocks, 1)
         keys = rows * b + cols
         pos = np.searchsorted(self._out_keys, keys, side="left")
         out = np.zeros(len(keys), dtype=WEIGHT_DTYPE)

@@ -9,9 +9,9 @@ GraphChallenge reference implementation.
 
 Two implementations live here:
 
-* ``*_dense`` — straightforward oracles over :class:`DenseBlockmodel`,
-  used by the CPU reference baseline and as the ground truth in property
-  tests;
+* ``*_dense`` — straightforward formulas over :class:`DenseBlockmodel`:
+  ``merge_delta_dense`` scores the CPU baselines' merges, and all are
+  the ground truth in property tests;
 * ``*_batch`` — the GSAP formulation on the simulated device.  A merge
   gathers each proposal's affected rows from the CSR blockmodel, appends
   the delta entries, merges them with a segmented sort + reduce-by-key
@@ -53,50 +53,63 @@ __all__ = [
 # ======================================================================
 # dense oracles
 # ======================================================================
-def merge_delta_dense(model: DenseBlockmodel, r: int, s: int) -> float:
+def merge_delta_dense(
+    model: DenseBlockmodel, r: int, s: Union[int, np.ndarray]
+) -> Union[float, np.ndarray]:
     """Exact data-term ΔS of merging block *r* into block *s* (Eq. 4-6).
 
     The model term is identical across candidate merges of one phase (the
     resulting block count is the same), so, as in the reference
     implementation, only the data term is compared.
+
+    *s* may also be a 1-D array of candidate blocks; the result is then
+    one ΔS per candidate, each bit-identical to the scalar call (every
+    row sums the same cells in the same order).  The CPU baselines score
+    all proposals of one block this way.
     """
-    if r == s:
-        return 0.0
+    targets = np.atleast_1d(np.asarray(s, dtype=INDEX_DTYPE))
+    moving = targets != r  # r == s merges nothing: ΔS = 0
+    t = targets[moving]
     m = model.matrix
     d_out, d_in = model.deg_out, model.deg_in
+    d_out_f = d_out.astype(FLOAT_DTYPE)
     b = model.num_blocks
-    idx = np.arange(b)
-    col_keep = (idx != r) & (idx != s)  # intersection counted in rows
+    rows = np.arange(len(t))
+    # Column cells outside rows r and s, in block order; the {r,s}×{r,s}
+    # intersection is counted in the rows.
+    others = np.delete(np.arange(b), r)
+    j = np.arange(max(b - 2, 0))
+    keep = np.where(j < (t - (t > r))[:, None], others[j], others[j + 1])
 
     old = (
         entropy_terms(m[r, :], np.full(b, d_out[r]), d_in).sum()
-        + entropy_terms(m[s, :], np.full(b, d_out[s]), d_in).sum()
-        + entropy_terms(m[col_keep, r], d_out[col_keep], np.full(col_keep.sum(), d_in[r])).sum()
-        + entropy_terms(m[col_keep, s], d_out[col_keep], np.full(col_keep.sum(), d_in[s])).sum()
+        + entropy_terms(m[t, :], d_out_f[t, None], d_in).sum(axis=1)
+        + entropy_terms(m[keep, r], d_out[keep], d_in[r]).sum(axis=1)
+        + entropy_terms(m[keep, t[:, None]], d_out[keep], d_in[t, None]).sum(axis=1)
     )
 
     # merged row/column: r's mass folds into s, including the r column.
-    row_new = m[r, :] + m[s, :]
-    row_new[s] += row_new[r]
-    row_new[r] = 0
-    col_new = m[:, r] + m[:, s]
-    col_new[s] += col_new[r]
-    col_new[r] = 0
-    d_out_new = d_out.astype(FLOAT_DTYPE).copy()
-    d_in_new = d_in.astype(FLOAT_DTYPE).copy()
-    d_out_new[s] += d_out_new[r]
-    d_in_new[s] += d_in_new[r]
-    d_out_new[r] = 0
-    d_in_new[r] = 0
+    row_new = m[r, :] + m[t, :]
+    row_new[rows, t] += row_new[rows, r]
+    row_new[:, r] = 0
+    col_new = m[:, r] + m[:, t].T
+    col_new[rows, t] += col_new[rows, r]
+    col_new[:, r] = 0
+    d_in_new = np.tile(d_in.astype(FLOAT_DTYPE), (len(t), 1))
+    d_in_new[rows, t] += d_in_new[rows, r]
+    d_in_new[:, r] = 0
 
     new = (
-        entropy_terms(row_new, np.full(b, d_out_new[s]), d_in_new).sum()
+        entropy_terms(row_new, (d_out_f[t] + d_out_f[r])[:, None], d_in_new).sum(axis=1)
         + entropy_terms(
-            col_new[col_keep], d_out_new[col_keep], np.full(col_keep.sum(), d_in_new[s])
-        ).sum()
+            np.take_along_axis(col_new, keep, axis=1), d_out_f[keep],
+            d_in_new[rows, t][:, None],
+        ).sum(axis=1)
     )
+    delta = np.zeros(len(targets), dtype=FLOAT_DTYPE)
     # MDL subtracts the log-posterior P, so ΔMDL = −ΔP = old − new.
-    return float(old - new)
+    delta[moving] = old - new
+    return float(delta[0]) if np.ndim(s) == 0 else delta
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,9 @@ I-SBP (Table 2's ``delta_entropy_threshold*``).
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Deque, Optional, Tuple
 
 import numpy as np
 
@@ -160,6 +161,14 @@ def build_move_context(
     )
 
 
+def sweep_converged(window: Deque[float], delta_mdl: float, tolerance: float) -> bool:
+    """Push one sweep's MDL change onto *window* (a ``deque`` whose
+    ``maxlen`` is the moving-average length); True once the window is
+    full and the magnitude of its mean is below *tolerance*."""
+    window.append(delta_mdl)
+    return len(window) == window.maxlen and abs(sum(window) / len(window)) < tolerance
+
+
 @dataclass(frozen=True)
 class VertexMoveOutcome:
     """Result of one vertex-move phase (one MDL plateau)."""
@@ -231,7 +240,7 @@ def run_vertex_move_phase(
 
     mdl = description_length(blockmodel, num_vertices, total_weight)
     scale = abs(initial_mdl_scale if initial_mdl_scale is not None else mdl)
-    window: list[float] = []
+    window = deque(maxlen=config.delta_entropy_moving_avg_window)
     accepted_total = 0
     proposals_total = 0
     proposal_time = 0.0
@@ -311,15 +320,10 @@ def run_vertex_move_phase(
             "sweep_delta_mdl", mdl - new_mdl,
             help="MDL improvement per MCMC sweep",
         )
-        window.append(mdl - new_mdl)
+        converged = sweep_converged(window, mdl - new_mdl, threshold * scale)
         mdl = new_mdl
-        if len(window) > config.delta_entropy_moving_avg_window:
-            window.pop(0)
-        if len(window) == config.delta_entropy_moving_avg_window:
-            avg = abs(sum(window) / len(window))
-            if avg < threshold * scale:
-                converged = True
-                break
+        if converged:
+            break
 
     return VertexMoveOutcome(
         bmap=bmap,

@@ -142,20 +142,6 @@ class FrameLossError(CommError):
     """An expected frame never arrived (dropped on the wire)."""
 
 
-class RankDeadError(CommError):
-    """A rank was declared dead by the failure detector.
-
-    Attributes
-    ----------
-    rank:
-        The rank that stopped responding.
-    """
-
-    def __init__(self, message: str, rank: int = -1) -> None:
-        super().__init__(message)
-        self.rank = rank
-
-
 class CheckpointError(ReproError):
     """A checkpoint is missing, truncated, or has an unsupported format."""
 

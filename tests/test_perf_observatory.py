@@ -49,10 +49,17 @@ QUICK = [PerfWorkload(WorkloadSpec("low_low", 200, "GSAP"))]
 TARGET_KERNEL = "hastings_correction"
 TARGET_PHASE = "vertex_move"
 TARGET_PAIR = f"{TARGET_PHASE}/{TARGET_KERNEL}"
+#: repeats per record: with 3 a Mann-Whitney test cannot go below
+#: p = 0.10, so one noisy run decides a verdict
+REPEATS = 6
+#: sleep added to every TARGET_KERNEL launch; a ~0.25 s run makes
+#: ~150 launches, so the slowed run takes about twice as long, well
+#: past the gate's 0.25 runtime tolerance
+SLOWDOWN_S = 2e-3
 
 
 def _quick_run(**kwargs):
-    kwargs.setdefault("repeats", 3)
+    kwargs.setdefault("repeats", REPEATS)
     kwargs.setdefault("warmup", 0)
     return run_workloads(QUICK, **kwargs)
 
@@ -111,8 +118,8 @@ class TestRunner:
     def test_raw_samples_one_per_repeat(self, record_a):
         (wl,) = record_a["workloads"]
         assert wl["key"] == "GSAP/low_low/200"
-        assert len(wl["samples"]["runtime_s"]) == 3
-        assert len(wl["samples"]["sim_time_s"]) == 3
+        assert len(wl["samples"]["runtime_s"]) == REPEATS
+        assert len(wl["samples"]["sim_time_s"]) == REPEATS
         assert all(v > 0 for v in wl["samples"]["runtime_s"])
 
     def test_kernel_attribution_keys_and_lengths(self, record_a):
@@ -123,7 +130,7 @@ class TestRunner:
             assert set(stats) == {
                 "wall_s", "sim_s", "launches", "work_items", "bytes_moved",
             }
-            assert all(len(v) == 3 for v in stats.values())
+            assert all(len(v) == REPEATS for v in stats.values())
 
     def test_phases_quality_and_tracer(self, record_a):
         (wl,) = record_a["workloads"]
@@ -191,7 +198,7 @@ class TestInjectedSlowdown:
         def slowed(self, name, cost, body, phase=None):
             if name == TARGET_KERNEL and phase == TARGET_PHASE:
                 def slow_body():
-                    time.sleep(4e-4)
+                    time.sleep(SLOWDOWN_S)
                     return body()
                 return original(self, name, cost, slow_body, phase)
             return original(self, name, cost, body, phase)
