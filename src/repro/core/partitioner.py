@@ -649,6 +649,9 @@ class GSAPPartitioner:
                     and plateaus % checkpoint_every == 0
                 ):
                     write_checkpoint()
+                # Release this plateau's blockmodels, and with them their
+                # cached lookup tables, before the next plateau builds its own.
+                merge = move = None
         except RunCancelled as exc:
             # A cancelled-but-progressed run degrades to best-effort:
             # return the incumbent partition and let the caller read the

@@ -70,9 +70,10 @@ class TestLookup:
         )
 
     def test_lookup_single(self, paper_matrix):
+        """One-cell queries: a stored cell and an absent one."""
         bm = BlockmodelCSR.from_dense(paper_matrix)
-        assert bm.lookup_single(0, 2) == 5
-        assert bm.lookup_single(2, 0) == 0
+        assert bm.lookup(np.array([0]), np.array([2]))[0] == 5
+        assert bm.lookup(np.array([2]), np.array([0]))[0] == 0
 
     def test_lookup_matches_dense_everywhere(self, paper_matrix):
         bm = BlockmodelCSR.from_dense(paper_matrix)
@@ -85,7 +86,7 @@ class TestLookup:
     def test_lookup_last_key(self, paper_matrix):
         """Query beyond the final stored key must not index out of range."""
         bm = BlockmodelCSR.from_dense(paper_matrix)
-        assert bm.lookup_single(2, 2) == 2
+        assert bm.lookup(np.array([2]), np.array([2]))[0] == 2
 
 
 class TestGatherRows:
