@@ -76,7 +76,7 @@ class _Degradation:
     """Current rung of the OOM degradation ladder.
 
     Rungs escalate: disable incremental blockmodel maintenance (its
-    padded-row storage and delta scratch are the first ballast to drop),
+    sorted-key mirror and delta scratch are the first ballast to drop),
     then halve the vertex-move batch size, then fall back to the host
     dense rebuild.
     """
@@ -197,7 +197,7 @@ class GSAPPartitioner:
         obs = self.obs
 
         # Fresh maintainer per attempt: a faulted, retried attempt must
-        # never inherit padded-row state from the attempt it replaces.
+        # never inherit the sorted-key mirror of the attempt it replaces.
         incremental = None
         if (
             config.incremental_updates
@@ -206,11 +206,7 @@ class GSAPPartitioner:
         ):
             from ..blockmodel.incremental import IncrementalBlockmodel
 
-            incremental = IncrementalBlockmodel(
-                device, graph,
-                rebuild_fn=rebuild_fn,
-                obs=obs,
-            )
+            incremental = IncrementalBlockmodel(device, graph, obs=obs)
 
         t0 = time.perf_counter()
         with obs.span("block_merge", "phase", plateau=plateau_idx,

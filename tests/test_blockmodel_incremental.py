@@ -5,9 +5,10 @@ accepted batches or merge relabellings, every array of the maintained
 :class:`BlockmodelCSR` must equal what a from-scratch
 :func:`rebuild_blockmodel` would produce — same values, same dtypes —
 and therefore the same MDL bit-for-bit.  These tests drive randomized
-move sweeps across all four generator categories, exercise the padded
-storage (fill-in, relocation, compaction), the fallback/cadence knobs,
-the merge-phase relabel path, and the end-to-end partitioner identity.
+move sweeps across all four generator categories (including a batch
+that moves every vertex), the desync check, the private sorted-key
+mirror, the merge-phase relabel path, and the end-to-end partitioner
+identity.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from repro.blockmodel import (
     description_length,
     rebuild_blockmodel,
 )
-from repro.blockmodel.incremental import _PaddedRows
 from repro.config import ObservabilityConfig, SBPConfig
 from repro.core.block_merge import _UnionFind, apply_merges_with_relabel
 from repro.core.partitioner import GSAPPartitioner
@@ -71,11 +71,11 @@ class TestRandomizedSweep:
         num_blocks = int(truth.max()) + 1
         bmap = truth.copy()
         bm = rebuild_blockmodel(device, graph, bmap, num_blocks)
-        # fallback disabled: the point is the delta algebra itself
-        inc = IncrementalBlockmodel(device, graph, fallback_fraction=1.0)
+        inc = IncrementalBlockmodel(device, graph)
         inc.reset(bm)
-        for _ in range(12):
-            movers, old, new = _random_batch(rng, bmap, num_blocks, 24)
+        # the last batch moves every vertex, so it touches every block
+        for size in [24] * 11 + [graph.num_vertices]:
+            movers, old, new = _random_batch(rng, bmap, num_blocks, size)
             bmap[movers] = new
             bm = inc.apply_batch(bmap, movers, old, new)
             reference = rebuild_blockmodel(device, graph, bmap, num_blocks)
@@ -129,55 +129,7 @@ class TestMoverNeighbours:
         )
 
 
-class TestPaddedRows:
-    def _padded(self):
-        ptr = np.array([0, 2, 3], dtype=np.int64)
-        nbr = np.array([0, 4, 2], dtype=np.int64)
-        wgt = np.array([5, 1, 7], dtype=np.int64)
-        return _PaddedRows(ptr, nbr, wgt, 2)
-
-    def test_roundtrip(self):
-        padded = self._padded()
-        ptr, nbr, wgt = padded.compact()
-        assert np.array_equal(ptr, [0, 2, 3])
-        assert np.array_equal(nbr, [0, 4, 2])
-        assert np.array_equal(wgt, [5, 1, 7])
-
-    def test_relocation_then_compaction(self):
-        padded = self._padded()
-        rows = np.array([0], dtype=np.int64)
-        compacted = False
-        # overflow row 0 by one slot each round, doubling its capacity;
-        # the relocations leave holes until the fragmentation limit
-        # forces a repack
-        for _ in range(6):
-            length = int(padded.cap[0]) + 1
-            needed = np.array([length], dtype=np.int64)
-            compacted |= padded.ensure_capacity(rows, needed)
-            keys = np.arange(length, dtype=np.int64)
-            vals = np.full(length, 3, dtype=np.int64)
-            seg = np.array([0, length], dtype=np.int64)
-            padded.write_rows(rows, seg, keys, vals)
-            ptr, nbr, wgt = padded.compact()
-            assert np.array_equal(nbr[:length], keys)
-            assert np.array_equal(wgt[:length], vals)
-            # untouched row survives every relocation/compaction
-            assert np.array_equal(nbr[length:], [2])
-            assert np.array_equal(wgt[length:], [7])
-        assert compacted
-
-
-class TestFallbackAndCadence:
-    def _setup(self, **kw):
-        graph, truth = load_dataset("low_low", 200, seed=3)
-        device = Device(A4000)
-        num_blocks = int(truth.max()) + 1
-        bmap = truth.copy()
-        bm = rebuild_blockmodel(device, graph, bmap, num_blocks)
-        inc = IncrementalBlockmodel(device, graph, **kw)
-        inc.reset(bm)
-        return graph, device, bmap, num_blocks, inc
-
+class TestGuards:
     def test_apply_before_reset_raises(self, tiny_graph):
         inc = IncrementalBlockmodel(Device(A4000), tiny_graph)
         with pytest.raises(PartitionError):
@@ -186,19 +138,46 @@ class TestFallbackAndCadence:
                 np.array([0]), np.array([0]), np.array([1]),
             )
 
-    def test_fallback_fraction_zero_always_rebuilds(self):
-        graph, device, bmap, num_blocks, inc = self._setup(
-            fallback_fraction=0.0
+    def test_misstated_old_blocks_raise_desync(self, tiny_graph):
+        """Deltas taken from a block the movers were never in must raise."""
+        device = Device(A4000)
+        # block 1 is empty, so every cell the batch takes from it is absent
+        bmap = np.zeros(4, dtype=np.int64)
+        bm = rebuild_blockmodel(device, tiny_graph, bmap, 2)
+        inc = IncrementalBlockmodel(device, tiny_graph)
+        inc.reset(bm)
+        movers = np.array([0, 2], dtype=np.int64)
+        with pytest.raises(PartitionError, match="desync"):
+            inc.apply_batch(
+                bmap, movers, np.array([1, 1]), np.array([0, 0]),
+            )
+        # the failed batch left the mirror as it was
+        bmap[movers] = 1
+        bm = inc.apply_batch(bmap, movers, np.array([0, 0]), np.array([1, 1]))
+        _assert_models_identical(
+            bm, rebuild_blockmodel(device, tiny_graph, bmap, 2)
         )
-        rng = np.random.default_rng(0)
+
+    def test_fault_in_returned_blockmodel_stays_out(self):
+        """A write into a returned blockmodel never reaches the next batch."""
+        graph, truth = load_dataset("low_low", 200, seed=3)
+        device = Device(A4000)
+        rng = np.random.default_rng(5)
+        num_blocks = int(truth.max()) + 1
+        bmap = truth.copy()
+        inc = IncrementalBlockmodel(device, graph)
+        inc.reset(rebuild_blockmodel(device, graph, bmap, num_blocks))
+        for _ in range(3):
+            movers, old, new = _random_batch(rng, bmap, num_blocks, 16)
+            bmap[movers] = new
+            bm = inc.apply_batch(bmap, movers, old, new)
+            bm.out_wgt[0] += 1000
+            bm.in_wgt[0] ^= 1 << 40
         movers, old, new = _random_batch(rng, bmap, num_blocks, 16)
         bmap[movers] = new
-        bm = inc.apply_batch(bmap, movers, old, new)
-        assert inc.fallbacks == 1
-        assert inc.full_rebuilds == 1
-        assert inc.incremental_updates == 0
         _assert_models_identical(
-            bm, rebuild_blockmodel(device, graph, bmap, num_blocks)
+            inc.apply_batch(bmap, movers, old, new),
+            rebuild_blockmodel(device, graph, bmap, num_blocks),
         )
 
 
@@ -285,7 +264,7 @@ class TestFaultRepairWithIncremental:
     """Bitflip + repair with the incremental maintainer active.
 
     A repaired blockmodel is a fresh object, so the maintainer must
-    re-adopt it (dropping its padded mirror) — the run must still end
+    re-adopt it (re-deriving its sorted-key mirror) — the run must still end
     byte-identical to a fault-free audited run.
     """
 

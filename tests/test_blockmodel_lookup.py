@@ -190,15 +190,13 @@ def test_rebuild_shares_no_memory(small_graph):
     _assert_fresh(rebuild_blockmodel(device, graph, bmap, b), old, snapshot)
 
 
-@pytest.mark.parametrize("fallback_fraction", [1.0, 0.0])
-def test_apply_batch_shares_no_memory(small_graph, fallback_fraction):
-    """Both the sparse-delta path and the full-rebuild fallback."""
+def test_apply_batch_shares_no_memory(small_graph):
     graph, truth = small_graph
     device = Device(A4000)
     b = int(truth.max()) + 1
     bmap = truth.copy()
     bm = rebuild_blockmodel(device, graph, bmap, b)
-    inc = IncrementalBlockmodel(device, graph, fallback_fraction=fallback_fraction)
+    inc = IncrementalBlockmodel(device, graph)
     inc.reset(bm)
     rng = np.random.default_rng(3)
     for _ in range(4):
