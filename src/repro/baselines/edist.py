@@ -169,13 +169,8 @@ class EDiStPartitioner(CPUSBPEngine):
             self.num_ranks,
             plan=self.fault_plan,
             seed=self.config.seed,
-            retry_policy=RetryPolicy(
-                max_attempts=resilience.max_attempts,
-                base_delay_s=resilience.base_delay_s,
-                backoff_factor=resilience.backoff_factor,
-                max_delay_s=resilience.max_delay_s,
-                jitter=resilience.jitter,
-                retry_on=(CommError,),
+            retry_policy=RetryPolicy.from_config(
+                resilience, retry_on=(CommError,)
             ),
             budget=FaultBudget(resilience.fault_budget),
             stats=self.comm,

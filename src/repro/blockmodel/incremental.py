@@ -21,13 +21,13 @@ simulated device:
   places the new ones, entries that reach 0 are dropped, and ``ptr`` is
   the search of the row boundaries ``arange(B + 1)·B``;
 * block degrees are patched with two signed histograms over the movers'
-  exact integer degrees.
+  exact integer degrees, applied to the mirror's own degree arrays.
 
 Each batch hands out a fresh O(nnz) CSR in any case, so the merge adds
 no asymptotic cost, and no batch needs a rebuild, however many blocks
 it touches.  The mirror is private: a returned :class:`BlockmodelCSR` owns
-copies of the weights, so a fault written into it never reaches the
-next batch.
+copies of the weights and block degrees, so a fault written into it
+never reaches the next batch.
 
 Nothing else is cached across batches: the vertex-move ΔMDL
 (:func:`~repro.blockmodel.delta.move_delta_batch`) reads only the cells
@@ -59,6 +59,8 @@ __all__ = ["IncrementalBlockmodel"]
 
 #: One CSR direction as sorted unique cell keys and their weights.
 _Cells = Tuple[np.ndarray, np.ndarray]
+#: Block degrees ``(deg_out, deg_in)``.
+_Degrees = Tuple[np.ndarray, np.ndarray]
 
 
 def _csr_direction(
@@ -131,9 +133,11 @@ class IncrementalBlockmodel:
         self.update_time_s = 0.0
         self.incremental_updates = 0
         self._bm: Optional[BlockmodelCSR] = None
-        # Sorted-key mirror: out cells keyed row·B + col, in cells col·B + row.
+        # Sorted-key mirror: out cells keyed row·B + col, in cells col·B + row,
+        # plus the block degrees.
         self._out: Optional[_Cells] = None
         self._in: Optional[_Cells] = None
+        self._deg: Optional[_Degrees] = None
         # Persistent V-sized scratch for marking the movers of a batch.
         self._is_mover = np.zeros(graph.num_vertices, dtype=bool)
         self._old_block = np.zeros(graph.num_vertices, dtype=INDEX_DTYPE)
@@ -147,31 +151,35 @@ class IncrementalBlockmodel:
         return self._bm
 
     def reset(self, blockmodel: BlockmodelCSR) -> None:
-        """Adopt *blockmodel* as the new ground truth and mirror its cells."""
+        """Adopt *blockmodel* as the new ground truth and mirror its cells
+        and degrees."""
         bm, b = blockmodel, max(blockmodel.num_blocks, 1)
 
-        def body() -> Tuple[_Cells, _Cells]:
+        def body() -> Tuple[_Cells, _Cells, _Degrees]:
             return (
                 (bm._row_ids(bm.out_ptr) * b + bm.out_nbr, bm.out_wgt.copy()),
                 (bm._row_ids(bm.in_ptr) * b + bm.in_nbr, bm.in_wgt.copy()),
+                (bm.deg_out.copy(), bm.deg_in.copy()),
             )
 
         n = max(blockmodel.num_entries, 1)
-        out, into = self.device.execute(
+        out, into, deg = self.device.execute(
             "mirror_cell_keys",
             KernelCost(n, ops_per_item=2.0, bytes_moved=8 * 4 * n),
             body,
             phase=None,
         )
-        self._adopt(blockmodel, out, into)
+        self._adopt(blockmodel, out, into, deg)
 
     def ensure(self, blockmodel: BlockmodelCSR) -> None:
         """Attach to *blockmodel* unless it is already the tracked one."""
         if self._bm is not blockmodel:
             self.reset(blockmodel)
 
-    def _adopt(self, blockmodel: BlockmodelCSR, out: _Cells, into: _Cells) -> None:
-        self._bm, self._out, self._in = blockmodel, out, into
+    def _adopt(
+        self, blockmodel: BlockmodelCSR, out: _Cells, into: _Cells, deg: _Degrees
+    ) -> None:
+        self._bm, self._out, self._in, self._deg = blockmodel, out, into, deg
 
     def _count_update(self) -> None:
         self.incremental_updates += 1
@@ -221,9 +229,8 @@ class IncrementalBlockmodel:
         new_blocks: np.ndarray,
         phase: Optional[str],
     ) -> BlockmodelCSR:
-        old_bm = self._bm
-        assert old_bm is not None and self._out is not None and self._in is not None
-        num_blocks = old_bm.num_blocks
+        assert self._bm is not None and self._out is not None and self._in is not None
+        num_blocks = self._bm.num_blocks
         movers = np.asarray(movers, dtype=INDEX_DTYPE)
         r = np.asarray(old_blocks, dtype=INDEX_DTYPE)
         s = np.asarray(new_blocks, dtype=INDEX_DTYPE)
@@ -232,10 +239,12 @@ class IncrementalBlockmodel:
         out, out_csr = self._merge(self._out, d_keys, d_vals, num_blocks, phase)
         in_keys, in_vals = self._transposed(d_keys, d_vals, num_blocks, phase)
         into, in_csr = self._merge(self._in, in_keys, in_vals, num_blocks, phase)
-        deg_out, deg_in = self._patch_degrees(old_bm, movers, r, s, num_blocks, phase)
+        deg = self._patch_degrees(movers, r, s, num_blocks, phase)
 
-        new_bm = BlockmodelCSR(num_blocks, *out_csr, *in_csr, deg_out, deg_in)
-        self._adopt(new_bm, out, into)
+        new_bm = BlockmodelCSR(
+            num_blocks, *out_csr, *in_csr, deg[0].copy(), deg[1].copy()
+        )
+        self._adopt(new_bm, out, into, deg)
         self._count_update()
         return new_bm
 
@@ -359,23 +368,25 @@ class IncrementalBlockmodel:
 
     def _patch_degrees(
         self,
-        old_bm: BlockmodelCSR,
         movers: np.ndarray,
         r: np.ndarray,
         s: np.ndarray,
         num_blocks: int,
         phase: Optional[str],
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        def body() -> Tuple[np.ndarray, np.ndarray]:
+    ) -> _Degrees:
+        assert self._deg is not None
+        old_out, old_in = self._deg
+
+        def body() -> _Degrees:
             d_out_m = self._vertex_deg_out[movers].astype(np.float64)
             d_in_m = self._vertex_deg_in[movers].astype(np.float64)
             idx = np.concatenate((r, s))
-            deg_out = old_bm.deg_out + np.bincount(
+            deg_out = old_out + np.bincount(
                 idx,
                 weights=np.concatenate((-d_out_m, d_out_m)),
                 minlength=num_blocks,
             ).astype(WEIGHT_DTYPE)
-            deg_in = old_bm.deg_in + np.bincount(
+            deg_in = old_in + np.bincount(
                 idx,
                 weights=np.concatenate((-d_in_m, d_in_m)),
                 minlength=num_blocks,
@@ -421,9 +432,10 @@ class IncrementalBlockmodel:
         self, gmap: np.ndarray, new_num_blocks: int, phase: Optional[str]
     ) -> BlockmodelCSR:
         old = self._bm
-        assert old is not None and self._out is not None
+        assert old is not None and self._out is not None and self._deg is not None
         device = self.device
         b, b2 = max(old.num_blocks, 1), int(new_num_blocks)
+        old_out, old_in = self._deg
         gmap = np.asarray(gmap, dtype=INDEX_DTYPE)
         old_keys, old_wgt = self._out
 
@@ -441,25 +453,28 @@ class IncrementalBlockmodel:
         out = prim.reduce_by_key(device, keys, vals, phase)
         into = self._transposed(*out, b2, phase)
 
-        def assemble_body() -> BlockmodelCSR:
-            deg_out = np.bincount(
-                gmap, weights=old.deg_out.astype(np.float64), minlength=b2
-            ).astype(WEIGHT_DTYPE)
-            deg_in = np.bincount(
-                gmap, weights=old.deg_in.astype(np.float64), minlength=b2
-            ).astype(WEIGHT_DTYPE)
-            return BlockmodelCSR(
-                b2, *_csr_direction(*out, b2), *_csr_direction(*into, b2),
-                deg_out, deg_in,
+        def assemble_body() -> Tuple[BlockmodelCSR, _Degrees]:
+            deg = (
+                np.bincount(
+                    gmap, weights=old_out.astype(np.float64), minlength=b2
+                ).astype(WEIGHT_DTYPE),
+                np.bincount(
+                    gmap, weights=old_in.astype(np.float64), minlength=b2
+                ).astype(WEIGHT_DTYPE),
             )
+            new_bm = BlockmodelCSR(
+                b2, *_csr_direction(*out, b2), *_csr_direction(*into, b2),
+                deg[0].copy(), deg[1].copy(),
+            )
+            return new_bm, deg
 
         m = max(len(out[0]), 1)
-        new_bm = device.execute(
+        new_bm, deg = device.execute(
             "merge_relabel_assemble",
             KernelCost(m, ops_per_item=3.0, bytes_moved=8 * 4 * m),
             assemble_body,
             phase,
         )
-        self._adopt(new_bm, out, into)
+        self._adopt(new_bm, out, into, deg)
         self._count_update()
         return new_bm

@@ -140,11 +140,6 @@ def _add_partition(sub: argparse._SubParsersAction) -> None:
              "every rank-crash recovery (EDiSt only)",
     )
     p.add_argument(
-        "--no-incremental", action="store_true",
-        help="disable incremental blockmodel maintenance and rebuild "
-             "with Algorithm 2 after every accepted batch (GSAP only)",
-    )
-    p.add_argument(
         "--audit", action="store_true",
         help="audit blockmodel invariants during the run (GSAP only)",
     )
@@ -187,14 +182,6 @@ def _cmd_partition(args: argparse.Namespace) -> int:
     if args.checkpoint_every:
         resilience_changes["checkpoint_every"] = args.checkpoint_every
     config = SBPConfig(seed=args.seed)
-    if args.no_incremental:
-        config = config.replace(incremental_updates=False)
-    if args.no_incremental and args.algo != "GSAP":
-        print(
-            f"--no-incremental is only supported for GSAP, not {args.algo}",
-            file=sys.stderr,
-        )
-        return 2
     if resilience_changes:
         config = config.replace(
             resilience=config.resilience.replace(**resilience_changes)

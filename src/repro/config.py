@@ -37,8 +37,11 @@ class ResilienceConfig:
     degrade_on_oom:
         Allow the degradation ladder on persistent out-of-memory faults:
         halve the vertex-move batch size (up to ``max_batch_halvings``
-        times), then fall back to the host dense-blockmodel rebuild when
-        ``dense_fallback`` is set.
+        times), then, when ``dense_fallback`` is set, maintain the
+        blockmodel off the device: the plateau-start rebuild and the
+        incremental maintainer run on a private device with no fault
+        injector, whose kernels the run's simulated clock does not
+        charge.  The blockmodels, and so the partition, are unchanged.
     best_effort:
         Return the best-so-far partition (``converged=False``) when the
         plateau budget is exhausted instead of raising
@@ -202,15 +205,6 @@ class SBPConfig:
         (GraphChallenge reference value: 3.0).
     min_blocks:
         Lower bound on the searched block count (golden-section floor).
-    incremental_updates:
-        Maintain the CSR blockmodel with sparse per-batch deltas
-        (:class:`~repro.blockmodel.incremental.IncrementalBlockmodel`)
-        instead of a from-scratch Algorithm-2 rebuild after every
-        accepted MCMC batch.  The incremental path is exact — it
-        produces bit-identical blockmodels, ΔMDL streams and final
-        partitions to the rebuild path — so this is purely a
-        performance knob.  The resilience ladder drops back to full
-        rebuilds under persistent device faults.
     seed:
         Master RNG seed; every stochastic component derives its stream
         from this value, making runs reproducible.
@@ -234,7 +228,6 @@ class SBPConfig:
     num_batches_for_MCMC: int = 4
     beta: float = 3.0
     min_blocks: int = 1
-    incremental_updates: bool = True
     seed: int = 0
     resilience: ResilienceConfig = field(default_factory=ResilienceConfig)
     observability: ObservabilityConfig = field(

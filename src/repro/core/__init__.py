@@ -25,7 +25,6 @@ from .vertex_move import (
     build_move_context,
     gather_adjacency_rows,
     run_vertex_move_phase,
-    run_vertex_move_phase_resilient,
 )
 
 __all__ = [
@@ -56,5 +55,4 @@ __all__ = [
     "build_move_context",
     "gather_adjacency_rows",
     "run_vertex_move_phase",
-    "run_vertex_move_phase_resilient",
 ]

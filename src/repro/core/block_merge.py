@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from ..blockmodel.blockmodel import BlockmodelCSR
 from ..blockmodel.delta import merge_delta_batch, precompute_block_term_sums
-from ..blockmodel.update import rebuild_blockmodel
+from ..blockmodel.incremental import IncrementalBlockmodel
 from ..config import SBPConfig
 from ..errors import PartitionError
 from ..gpusim.device import Device
@@ -161,31 +161,29 @@ def run_block_merge_phase(
     target_num_blocks: int,
     config: SBPConfig,
     rng: np.random.Generator,
-    rebuild_fn: Callable[..., BlockmodelCSR] = rebuild_blockmodel,
     obs: Optional[Observability] = None,
     integrity=None,
-    incremental=None,
+    incremental: Optional[IncrementalBlockmodel] = None,
 ) -> BlockMergeOutcome:
     """Merge the current partition down to *target_num_blocks* blocks.
 
     Proposal rounds repeat until the target is reached (one round almost
     always suffices since every block proposes; chains can fall short by
-    a few merges on adversarial proposals).  *rebuild_fn* is the
-    blockmodel rebuild used after each merge round (the resilience
-    ladder substitutes the host dense path under memory pressure);
-    when an *incremental*
-    :class:`~repro.blockmodel.incremental.IncrementalBlockmodel`
-    maintainer is supplied, each round instead collapses the existing
-    blockmodel under the merge relabelling — O(nnz log nnz) rather than
-    O(E log E), byte-identical output.
+    a few merges on adversarial proposals).  After each round the
+    *incremental* :class:`~repro.blockmodel.incremental.IncrementalBlockmodel`
+    collapses the blockmodel under the merge relabelling — O(nnz log nnz)
+    rather than Algorithm 2's O(E log E), byte-identical output; when
+    omitted the phase builds one on *device*.
     *obs* records per-round spans and the merge ΔMDL distribution.
     *integrity* (an :class:`~repro.integrity.IntegrityManager`) gets an
-    integrity site after every rebuild — the point where corruption can
+    integrity site after every round — the point where corruption can
     strike and audits/repairs run.
     """
     if target_num_blocks < 1:
         raise PartitionError(f"target_num_blocks must be >= 1, got {target_num_blocks}")
     obs = obs or NULL_OBS
+    if incremental is None:
+        incremental = IncrementalBlockmodel(device, graph, obs=obs)
     bmap = np.asarray(bmap, dtype=INDEX_DTYPE).copy()
     num_blocks = blockmodel.num_blocks
     total_evaluated = 0
@@ -213,24 +211,17 @@ def run_block_merge_phase(
             best_delta, best_proposal = select_best_proposals(
                 delta, batch.proposals, num_blocks, config.num_proposals
             )
-            if incremental is not None:
-                incremental.ensure(blockmodel)
+            incremental.ensure(blockmodel)
             bmap, num_blocks, applied, gmap = apply_merges_with_relabel(
                 bmap, num_blocks, best_delta, best_proposal,
                 num_blocks - target_num_blocks,
             )
-            if incremental is not None:
-                blockmodel = incremental.apply_merge_relabel(
-                    gmap, num_blocks, PHASE
-                )
-            else:
-                blockmodel = rebuild_fn(device, graph, bmap, num_blocks, PHASE)
+            blockmodel = incremental.apply_merge_relabel(gmap, num_blocks, PHASE)
             if integrity is not None:
                 repaired = integrity.site(bmap, blockmodel, PHASE)
                 if repaired is not blockmodel:
                     blockmodel = repaired
-                    if incremental is not None:
-                        incremental.reset(blockmodel)
+                    incremental.reset(blockmodel)
         obs.count("merge_rounds_total", help="block-merge proposal rounds")
         obs.count(
             "merge_proposals_total", len(delta),

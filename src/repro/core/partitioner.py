@@ -12,9 +12,8 @@ Resilience
 Long runs survive device faults: every plateau executes under a
 :class:`~repro.resilience.RetryPolicy` (exponential backoff + jitter,
 a per-run fault budget), repeated out-of-memory faults walk a
-degradation ladder (disable incremental blockmodel maintenance, halve
-the vertex-move batch size, then fall back to the host dense-blockmodel
-rebuild), and
+degradation ladder (halve the vertex-move batch size, then maintain the
+blockmodel off the faulting device), and
 ``partition(graph, checkpoint_dir=...)`` writes atomic mid-run
 snapshots a killed run resumes from via ``resume_from=...`` — reaching,
 for the same seed, the identical final partition as an uninterrupted
@@ -34,12 +33,13 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Callable, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
 from ..blockmodel.entropy import description_length
-from ..blockmodel.update import rebuild_blockmodel, rebuild_blockmodel_dense
+from ..blockmodel.incremental import IncrementalBlockmodel
+from ..blockmodel.update import rebuild_blockmodel
 from ..config import SBPConfig
 from ..errors import (
     CheckpointError,
@@ -75,21 +75,16 @@ logger = get_logger("gsap")
 class _Degradation:
     """Current rung of the OOM degradation ladder.
 
-    Rungs escalate: disable incremental blockmodel maintenance (its
-    sorted-key mirror and delta scratch are the first ballast to drop),
-    then halve the vertex-move batch size, then fall back to the host
-    dense rebuild.
+    Rungs escalate: halve the vertex-move batch size, then maintain the
+    blockmodel off the device (``dense_rebuild``, a name kept so older
+    checkpoints load): the plateau-start rebuild and every incremental
+    update run on a private, fault-free device whose clock the run does
+    not charge.
     """
 
-    def __init__(
-        self,
-        batch_halvings: int = 0,
-        dense_rebuild: bool = False,
-        no_incremental: bool = False,
-    ):
+    def __init__(self, batch_halvings: int = 0, dense_rebuild: bool = False):
         self.batch_halvings = batch_halvings
         self.dense_rebuild = dense_rebuild
-        self.no_incremental = no_incremental
 
     def effective_config(self, config: SBPConfig) -> SBPConfig:
         if self.batch_halvings == 0:
@@ -100,22 +95,19 @@ class _Degradation:
             )
         )
 
-    def rebuild_fn(self) -> Callable:
-        return rebuild_blockmodel_dense if self.dense_rebuild else rebuild_blockmodel
-
     def to_dict(self) -> dict:
         return {
             "batch_halvings": self.batch_halvings,
             "dense_rebuild": self.dense_rebuild,
-            "no_incremental": self.no_incremental,
         }
 
     @classmethod
     def from_dict(cls, payload: dict) -> "_Degradation":
+        # Older checkpoints also carry "no_incremental", from a rung that
+        # no longer exists; it is ignored.
         return cls(
             batch_halvings=int(payload.get("batch_halvings", 0)),
             dense_rebuild=bool(payload.get("dense_rebuild", False)),
-            no_incremental=bool(payload.get("no_incremental", False)),
         )
 
 
@@ -160,17 +152,6 @@ class GSAPPartitioner:
             self.config.observability
         )
 
-    # ------------------------------------------------------------------
-    def _retry_policy(self) -> RetryPolicy:
-        rcfg = self.config.resilience
-        return RetryPolicy(
-            max_attempts=rcfg.max_attempts,
-            base_delay_s=rcfg.base_delay_s,
-            backoff_factor=rcfg.backoff_factor,
-            max_delay_s=rcfg.max_delay_s,
-            jitter=rcfg.jitter,
-        )
-
     def _run_plateau(
         self,
         graph: DiGraphCSR,
@@ -192,69 +173,49 @@ class GSAPPartitioner:
         fault-free run is indistinguishable from a retried one.
         """
         config = degradation.effective_config(self.config)
-        rebuild_fn = degradation.rebuild_fn()
         device = self.device
         obs = self.obs
+        # The last ladder rung keeps the maintenance off the faulting
+        # device: a private device with no fault injector, whose clock
+        # the run does not charge.
+        maint_device = Device(device.spec) if degradation.dense_rebuild else device
 
         # Fresh maintainer per attempt: a faulted, retried attempt must
         # never inherit the sorted-key mirror of the attempt it replaces.
-        incremental = None
-        if (
-            config.incremental_updates
-            and not degradation.no_incremental
-            and not degradation.dense_rebuild
-        ):
-            from ..blockmodel.incremental import IncrementalBlockmodel
-
-            incremental = IncrementalBlockmodel(device, graph, obs=obs)
+        incremental = IncrementalBlockmodel(maint_device, graph, obs=obs)
 
         t0 = time.perf_counter()
         with obs.span("block_merge", "phase", plateau=plateau_idx,
                       target=target):
             bmap = resume.bmap.copy()
-            blockmodel = rebuild_fn(
-                device, graph, bmap, resume.num_blocks, "block_merge"
+            blockmodel = rebuild_blockmodel(
+                maint_device, graph, bmap, resume.num_blocks, "block_merge"
             )
             if integrity is not None:
                 blockmodel = integrity.site(bmap, blockmodel, "block_merge")
             merge = run_block_merge_phase(
                 device, graph, blockmodel, bmap, target, config,
-                streams.get("block_merge", plateau_idx), rebuild_fn,
+                streams.get("block_merge", plateau_idx),
                 obs=obs, integrity=integrity, incremental=incremental,
             )
         timings.block_merge_s += time.perf_counter() - t0
 
-        # Shim the rebuild so the Fig. 12 update-vs-MCMC split is
-        # measurable: blockmodel_update_s is the rebuild time *inside*
-        # the vertex-move phase (a subset of vertex_move_s).
-        update_spent = [0.0]
-
-        def timed_rebuild(*args, **kwargs):
-            r0 = time.perf_counter()
-            try:
-                return rebuild_fn(*args, **kwargs)
-            finally:
-                update_spent[0] += time.perf_counter() - r0
-
+        # blockmodel_update_s is the maintenance time *inside* the
+        # vertex-move phase (a subset of vertex_move_s, the Fig. 12
+        # update-vs-MCMC split); merge-phase relabels stay in
+        # block_merge_s.
         t0 = time.perf_counter()
-        inc_spent0 = incremental.update_time_s if incremental is not None else 0.0
+        update_s0 = incremental.update_time_s
         with obs.span("vertex_move", "phase", plateau=plateau_idx):
             move = run_vertex_move_phase(
                 device, graph, merge.blockmodel, merge.bmap, config,
                 streams.get("vertex_move", plateau_idx),
                 threshold, initial_mdl_scale=initial_mdl,
-                rebuild_fn=timed_rebuild, obs=obs, integrity=integrity,
+                obs=obs, integrity=integrity,
                 incremental=incremental, cancel=cancel,
             )
         timings.vertex_move_s += time.perf_counter() - t0
-        timings.blockmodel_update_s += update_spent[0]
-        if incremental is not None:
-            # Maintenance time spent inside the vertex-move window only
-            # (merge-phase relabels stay inside block_merge_s, like the
-            # merge-round rebuilds always did).
-            timings.blockmodel_update_s += (
-                incremental.update_time_s - inc_spent0
-            )
+        timings.blockmodel_update_s += incremental.update_time_s - update_s0
         return merge, move
 
     def _run_plateau_resilient(
@@ -281,7 +242,7 @@ class GSAPPartitioner:
         retry machinery untouched.
         """
         rcfg = self.config.resilience
-        policy = self._retry_policy()
+        policy = RetryPolicy.from_config(rcfg)
         while True:
             try:
                 return with_retries(
@@ -307,17 +268,7 @@ class GSAPPartitioner:
                     and isinstance(cause, DeviceMemoryError)
                 ):
                     raise
-                if (
-                    self.config.incremental_updates
-                    and not degradation.no_incremental
-                ):
-                    degradation.no_incremental = True
-                    event = (
-                        f"plateau {plateau_idx}: persistent OOM; disabled "
-                        f"incremental blockmodel maintenance (full "
-                        f"Algorithm-2 rebuilds from here on)"
-                    )
-                elif degradation.batch_halvings < rcfg.max_batch_halvings:
+                if degradation.batch_halvings < rcfg.max_batch_halvings:
                     degradation.batch_halvings += 1
                     eff = degradation.effective_config(self.config)
                     event = (
@@ -329,7 +280,7 @@ class GSAPPartitioner:
                     degradation.dense_rebuild = True
                     event = (
                         f"plateau {plateau_idx}: OOM survived batch "
-                        f"halving; falling back to host dense rebuild"
+                        f"halving; maintaining the blockmodel off the device"
                     )
                 else:
                     raise
@@ -505,13 +456,13 @@ class GSAPPartitioner:
             bmap0 = np.arange(num_vertices, dtype=INDEX_DTYPE)
 
             def build_initial(_attempt: int) -> float:
-                blockmodel = degradation.rebuild_fn()(
+                blockmodel = rebuild_blockmodel(
                     device, graph, bmap0, num_vertices, "block_merge"
                 )
                 return description_length(blockmodel, num_vertices, total_weight)
 
             initial_mdl = with_retries(
-                build_initial, self._retry_policy(), seed=config.seed,
+                build_initial, RetryPolicy.from_config(rcfg), seed=config.seed,
                 label="initial rebuild", stats=stats, budget=budget,
                 logger=logger, obs=obs,
             )

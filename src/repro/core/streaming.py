@@ -117,13 +117,7 @@ class StreamingGSAP:
         rcfg = config.resilience
         device = self.device
         streams = StreamFactory(config.seed)
-        policy = RetryPolicy(
-            max_attempts=rcfg.max_attempts,
-            base_delay_s=rcfg.base_delay_s,
-            backoff_factor=rcfg.backoff_factor,
-            max_delay_s=rcfg.max_delay_s,
-            jitter=rcfg.jitter,
-        )
+        policy = RetryPolicy.from_config(rcfg)
         stats = ResilienceStats()
         self.resilience_stats = stats
         budget = FaultBudget(rcfg.fault_budget)

@@ -4,13 +4,12 @@ Each sweep splits the vertices into ``num_batches_for_MCMC`` batches.
 Within a batch every vertex proposes a destination block (Algorithm 1),
 its ΔMDL is evaluated against the *frozen* blockmodel (Eq. 7), and the
 Metropolis-Hastings test with Hastings correction decides acceptance; all
-accepted moves of the batch are applied together and the blockmodel is
-brought up to date on the device — by sparse delta application when an
-:class:`~repro.blockmodel.incremental.IncrementalBlockmodel` maintainer
-is supplied (the default partitioner path), else by a full Algorithm-2
-rebuild.  Both paths produce byte-identical blockmodels.  Freezing the
-blockmodel within a batch is the asynchronous-Gibbs approximation that
-makes the otherwise serial MCMC chain parallel.
+accepted moves of the batch are applied together and an
+:class:`~repro.blockmodel.incremental.IncrementalBlockmodel` brings the
+blockmodel up to date as sparse deltas, byte-identical to a full
+Algorithm-2 rebuild.  Freezing the blockmodel within a batch is the
+asynchronous-Gibbs approximation that makes the otherwise serial MCMC
+chain parallel.
 
 Sweeps stop when the moving average of the per-sweep MDL change drops
 below the configured threshold times the initial description length —
@@ -23,7 +22,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Optional, Tuple
+from typing import Deque, Optional, Tuple
 
 import numpy as np
 
@@ -33,7 +32,7 @@ from ..blockmodel.delta import MoveDeltaContext, move_delta_batch
 # vertex-move entry points by name still find it.
 from ..blockmodel.delta import precompute_block_term_sums  # noqa: F401
 from ..blockmodel.entropy import description_length
-from ..blockmodel.update import rebuild_blockmodel
+from ..blockmodel.incremental import IncrementalBlockmodel
 from ..config import SBPConfig
 from ..gpusim.device import Device, KernelCost
 from ..gpusim.primitives import composite_argsort
@@ -192,10 +191,9 @@ def run_vertex_move_phase(
     rng: np.random.Generator,
     threshold: float,
     initial_mdl_scale: Optional[float] = None,
-    rebuild_fn: Callable[..., BlockmodelCSR] = rebuild_blockmodel,
     obs: Optional[Observability] = None,
     integrity=None,
-    incremental=None,
+    incremental: Optional[IncrementalBlockmodel] = None,
     cancel=None,
 ) -> VertexMoveOutcome:
     """Run batched async-Gibbs sweeps until the MDL plateaus.
@@ -208,14 +206,12 @@ def run_vertex_move_phase(
     initial_mdl_scale:
         The MDL scale the threshold is relative to; defaults to the MDL
         at phase entry.
-    rebuild_fn:
-        Blockmodel rebuild used after each applied batch when no
-        *incremental* maintainer is given; the resilience ladder
-        substitutes the host dense path under memory pressure.
     incremental:
-        Optional :class:`~repro.blockmodel.incremental.IncrementalBlockmodel`
-        maintainer.  When given, accepted batches are applied as sparse
-        deltas (byte-identical to *rebuild_fn*'s output).
+        The :class:`~repro.blockmodel.incremental.IncrementalBlockmodel`
+        that applies accepted batches as sparse deltas; when omitted the
+        phase builds one on *device*.  The partitioner passes its own so
+        the merge phase's mirror carries over, and so the degradation
+        ladder can keep the maintenance off a faulting device.
     obs:
         Observability hub recording sweep spans, acceptance counters and
         the per-proposal ΔMDL distribution; disabled hub by default.
@@ -224,7 +220,7 @@ def run_vertex_move_phase(
     integrity:
         Optional :class:`~repro.integrity.IntegrityManager`; gets an
         integrity site (corruption exposure + cadenced audit/repair)
-        after every blockmodel rebuild.  Like *obs*, it never consumes
+        after every blockmodel update.  Like *obs*, it never consumes
         RNG draws.
     cancel:
         Optional :class:`~repro.serve.CancelToken`; checked at the top
@@ -247,8 +243,9 @@ def run_vertex_move_phase(
     converged = False
     sweeps = 0
 
-    if incremental is not None:
-        incremental.ensure(blockmodel)
+    if incremental is None:
+        incremental = IncrementalBlockmodel(device, graph, obs=obs)
+    incremental.ensure(blockmodel)
 
     track_deltas = obs.enabled and obs.config.track_deltas
     for sweep in range(config.max_num_nodal_itr):
@@ -293,27 +290,17 @@ def run_vertex_move_phase(
                     movers = batch[accept]
                     bmap[movers] = prop.proposals[accept]
                     accepted_total += num_accepted
-                    if incremental is not None:
-                        blockmodel = incremental.apply_batch(
-                            bmap, movers, ctx.r[accept],
-                            prop.proposals[accept], PHASE,
-                        )
-                    else:
-                        blockmodel = rebuild_fn(
-                            device, graph, bmap, blockmodel.num_blocks, PHASE
-                        )
-                        obs.count(
-                            "blockmodel_full_rebuilds_total",
-                            help="full Algorithm-2 blockmodel rebuilds",
-                        )
+                    blockmodel = incremental.apply_batch(
+                        bmap, movers, ctx.r[accept],
+                        prop.proposals[accept], PHASE,
+                    )
                     if integrity is not None:
                         repaired = integrity.site(bmap, blockmodel, PHASE)
                         if repaired is not blockmodel:
                             # A repair rebuilt state from scratch; the
                             # maintainer must re-adopt the new object.
                             blockmodel = repaired
-                            if incremental is not None:
-                                incremental.reset(blockmodel)
+                            incremental.reset(blockmodel)
             new_mdl = description_length(blockmodel, num_vertices, total_weight)
             sweep_span.set(mdl=new_mdl, delta_mdl=mdl - new_mdl)
         obs.observe(
@@ -334,58 +321,4 @@ def run_vertex_move_phase(
         num_proposals=proposals_total,
         proposal_time_s=proposal_time,
         converged=converged,
-    )
-
-
-def run_vertex_move_phase_resilient(
-    device: Device,
-    graph: DiGraphCSR,
-    blockmodel: BlockmodelCSR,
-    bmap: IndexArray,
-    config: SBPConfig,
-    rng_factory: Callable[[], np.random.Generator],
-    threshold: float,
-    initial_mdl_scale: Optional[float] = None,
-    rebuild_fn: Callable[..., BlockmodelCSR] = rebuild_blockmodel,
-    *,
-    stats=None,
-    budget=None,
-    label: str = "vertex_move",
-    obs: Optional[Observability] = None,
-    integrity=None,
-    incremental=None,
-) -> VertexMoveOutcome:
-    """Retry-wrapped :func:`run_vertex_move_phase`.
-
-    Each attempt restarts the whole phase from the entry ``(blockmodel,
-    bmap)`` with a *fresh* generator from ``rng_factory`` — a partially
-    consumed generator from a faulted attempt must never be reused, or a
-    retried run would diverge from a fault-free one.  Transient device
-    faults (including injected ones) are absorbed per
-    ``config.resilience``; persistent ones surface as
-    :class:`~repro.errors.RetryExhaustedError`.
-    """
-    from ..resilience.retry import RetryPolicy, with_retries
-
-    rcfg = config.resilience
-    policy = RetryPolicy(
-        max_attempts=rcfg.max_attempts,
-        base_delay_s=rcfg.base_delay_s,
-        backoff_factor=rcfg.backoff_factor,
-        max_delay_s=rcfg.max_delay_s,
-        jitter=rcfg.jitter,
-    )
-    entry_bmap = np.asarray(bmap, dtype=INDEX_DTYPE)
-
-    def attempt(_attempt: int) -> VertexMoveOutcome:
-        return run_vertex_move_phase(
-            device, graph, blockmodel, entry_bmap.copy(), config,
-            rng_factory(), threshold,
-            initial_mdl_scale=initial_mdl_scale, rebuild_fn=rebuild_fn,
-            obs=obs, integrity=integrity, incremental=incremental,
-        )
-
-    return with_retries(
-        attempt, policy, seed=config.seed, label=label,
-        stats=stats, budget=budget, obs=obs,
     )

@@ -133,17 +133,8 @@ def build_run_report(
         if mcmc:
             report["mcmc"] = mcmc
         inc = obs.metrics.get("blockmodel_incremental_updates_total")
-        full = obs.metrics.get("blockmodel_full_rebuilds_total")
-        if inc is not None or full is not None:
-            inc_n = inc.value if inc is not None else 0.0
-            full_n = full.value if full is not None else 0.0
-            blockmodel: dict = {
-                "incremental_updates": inc_n,
-                "full_rebuilds": full_n,
-            }
-            if inc_n + full_n:
-                blockmodel["incremental_hit_rate"] = inc_n / (inc_n + full_n)
-            report["blockmodel"] = blockmodel
+        if inc is not None:
+            report["blockmodel"] = {"incremental_updates": inc.value}
         report["metrics"] = obs.metrics.snapshot()
 
     if profiler is not None:
@@ -256,18 +247,11 @@ def run_report_markdown(report: dict) -> str:
 
     bm = report.get("blockmodel")
     if bm:
-        rate = bm.get("incremental_hit_rate")
-        suffix = (
-            f" (incremental hit rate {rate * 100.0:.1f}%)"
-            if rate is not None
-            else ""
-        )
         lines += [
             "",
             "## Blockmodel maintenance",
             "",
-            f"- incremental updates: {int(bm['incremental_updates'])}, "
-            f"full rebuilds: {int(bm['full_rebuilds'])}{suffix}",
+            f"- incremental updates: {int(bm['incremental_updates'])}",
         ]
 
     kernels = report.get("kernels")

@@ -51,8 +51,8 @@ class PerfWorkload:
     """One observatory workload: a bench spec plus an optional variant.
 
     ``variant`` distinguishes A/B arms of the same spec (for example
-    ``incremental`` vs ``rebuild`` maintenance); ``configure``
-    transforms the base config for this arm.
+    ``batches4`` vs ``batches16`` for two ``num_batches_for_MCMC``
+    settings); ``configure`` transforms the base config for this arm.
     """
 
     spec: WorkloadSpec

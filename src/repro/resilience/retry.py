@@ -63,6 +63,21 @@ class RetryPolicy:
         if not (0.0 <= self.jitter < 1.0):
             raise ValueError(f"jitter must lie in [0, 1), got {self.jitter}")
 
+    @classmethod
+    def from_config(
+        cls, rcfg, retry_on: Tuple[type, ...] = (DeviceError,)
+    ) -> "RetryPolicy":
+        """The schedule a :class:`~repro.config.ResilienceConfig`
+        describes, retrying the errors in *retry_on*."""
+        return cls(
+            max_attempts=rcfg.max_attempts,
+            base_delay_s=rcfg.base_delay_s,
+            backoff_factor=rcfg.backoff_factor,
+            max_delay_s=rcfg.max_delay_s,
+            jitter=rcfg.jitter,
+            retry_on=retry_on,
+        )
+
     def delay_for_attempt(self, attempt: int, rng: np.random.Generator) -> float:
         """Backoff (seconds) after failed attempt *attempt* (1-based)."""
         delay = min(

@@ -81,16 +81,6 @@ class TestPartition:
         assert code == 0
         assert "NMI" not in capsys.readouterr().out
 
-    def test_no_incremental_is_gsap_only(self, files, capsys):
-        edges, _ = files
-        code = main([
-            "partition", str(edges), "--algo", "EDiSt", "--no-incremental",
-        ])
-        assert code == 2
-        assert "--no-incremental is only supported for GSAP" in (
-            capsys.readouterr().err
-        )
-
 
 class TestInfo:
     def test_prints_table1(self, capsys):

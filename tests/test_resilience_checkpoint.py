@@ -227,30 +227,33 @@ class TestResultCheckpointResilience:
         assert not list(tmp_path.glob("*.tmp"))
 
 
+def _kill_midway(config, graph, checkpoint_dir) -> None:
+    """Kill a run with an unrecoverable kernel-fault storm midway (the
+    full run launches ~2,460 kernels), checkpointing every plateau."""
+    kill_config = config.replace(
+        resilience=ResilienceConfig(
+            max_attempts=2, fault_budget=3, base_delay_s=0.0
+        )
+    )
+    device = Device(A4000)
+    install_fault_injector(
+        device,
+        FaultPlan(faults=(FaultSpec(kind="kernel", at=1100,
+                                    count=10**6),)),
+    )
+    with pytest.raises(RetryExhaustedError):
+        GSAPPartitioner(kill_config, device=device).partition(
+            graph, checkpoint_dir=checkpoint_dir
+        )
+
+
 class TestKillAndResume:
     def test_killed_run_resumes_byte_identically(self, tmp_path, graph):
         """The issue's acceptance gate: kill mid-run, resume, reproduce."""
         config = SBPConfig(**BASE_KW)
         full = GSAPPartitioner(config, device=Device(A4000)).partition(graph)
 
-        # kill: an unrecoverable kernel-fault storm midway through the run
-        # (the full run launches ~2,460 kernels), with checkpoints written
-        # at every plateau boundary
-        kill_config = config.replace(
-            resilience=ResilienceConfig(
-                max_attempts=2, fault_budget=3, base_delay_s=0.0
-            )
-        )
-        device = Device(A4000)
-        install_fault_injector(
-            device,
-            FaultPlan(faults=(FaultSpec(kind="kernel", at=1100,
-                                        count=10**6),)),
-        )
-        with pytest.raises(RetryExhaustedError):
-            GSAPPartitioner(kill_config, device=device).partition(
-                graph, checkpoint_dir=tmp_path
-            )
+        _kill_midway(config, graph, tmp_path)
 
         ck = load_run_checkpoint(tmp_path)
         assert 0 < ck.plateau < len(full.history)
@@ -272,6 +275,29 @@ class TestKillAndResume:
         )
         np.testing.assert_array_equal(again.partition, full.partition)
         assert again.mdl == full.mdl
+
+    def test_older_degradation_state_resumes(self, tmp_path, graph):
+        """A checkpoint whose degradation state still carries the retired
+        ``no_incremental`` rung loads, resumes, and drops the key."""
+        config = SBPConfig(**BASE_KW)
+        full = GSAPPartitioner(config, device=Device(A4000)).partition(graph)
+        _kill_midway(config, graph, tmp_path)
+        manifest = tmp_path / "run.json"
+        payload = json.loads(manifest.read_text(encoding="utf-8"))
+        payload["degradation"] = {
+            "batch_halvings": 0, "dense_rebuild": False, "no_incremental": True,
+        }
+        manifest.write_text(json.dumps(payload), encoding="utf-8")
+
+        resumed = GSAPPartitioner(config, device=Device(A4000)).partition(
+            graph, resume_from=tmp_path
+        )
+        np.testing.assert_array_equal(resumed.partition, full.partition)
+        assert resumed.mdl == full.mdl
+        assert resumed.history == full.history
+        assert load_run_checkpoint(tmp_path).degradation == {
+            "batch_halvings": 0, "dense_rebuild": False,
+        }
 
     def test_checkpoint_cadence(self, tmp_path, graph):
         config = SBPConfig(

@@ -6,7 +6,8 @@ is exercised against each phase it can hit, through three outcomes:
 * **retry-then-succeed** — a transient fault is absorbed and the final
   partition is bit-identical to the fault-free run;
 * **degradation-then-succeed** — a persistent OOM walks the degradation
-  ladder (batch halving, then the dense rebuild) and still finishes;
+  ladder (batch halving, then blockmodel maintenance off the device) and
+  still finishes;
 * **retry-exhausted** — a persistent non-degradable fault surfaces as
   :class:`~repro.errors.RetryExhaustedError`.
 """
@@ -405,6 +406,19 @@ BASE_KW = dict(
 )
 
 
+def _vertex_move_oom(ref_device: Device) -> FaultPlan:
+    """A persistent OOM on every vertex-move kernel moving at least 60%
+    of the largest one's bytes in the fault-free run on *ref_device*."""
+    vm_bytes = [
+        r.bytes_moved
+        for r in ref_device.profiler.kernel_records
+        if r.phase == "vertex_move"
+    ]
+    return FaultPlan(faults=(FaultSpec(kind="oom", at=0, count=10**9,
+                                       phase="vertex_move",
+                                       min_bytes=int(max(vm_bytes) * 0.6)),))
+
+
 def _config(**resilience_kw) -> SBPConfig:
     defaults = dict(base_delay_s=0.0)
     defaults.update(resilience_kw)
@@ -541,6 +555,27 @@ class TestDegradationLadder:
                          degrade_on_oom=False)
         with pytest.raises(RetryExhaustedError):
             GSAPPartitioner(config, device=device).partition(matrix_graph)
+
+
+    @pytest.mark.parametrize("category", ["low_low", "high_high"])
+    def test_host_rung_is_one_step_and_exact(self, category):
+        """With no batch halvings left, the first degradation moves the
+        blockmodel maintenance off the device, and the run ends exactly
+        where the fault-free run does."""
+        graph, _ = load_dataset(category, 120, seed=1)
+        config = _config(max_attempts=2, fault_budget=200,
+                         max_batch_halvings=0)
+        ref_device = Device(A4000)
+        ref = GSAPPartitioner(config, device=ref_device).partition(graph)
+
+        device = Device(A4000)
+        injector = install_fault_injector(device, _vertex_move_oom(ref_device))
+        result = GSAPPartitioner(config, device=device).partition(graph)
+        assert injector.faults_fired > 0
+        assert len(result.resilience.degradations) == 1
+        assert "off the device" in result.resilience.degradations[0]
+        np.testing.assert_array_equal(result.partition, ref.partition)
+        assert result.mdl == ref.mdl
 
 
 class TestAcceptance:
