@@ -1,6 +1,6 @@
 # Convenience targets for the GSAP reproduction.
 
-.PHONY: install test test-fast test-oracles test-faults test-dist test-integrity serve-smoke obs-smoke bench bench-incremental bench-paper perf-baseline perf-check perf-trend examples lint clean
+.PHONY: install test test-fast test-oracles test-quality test-faults test-dist test-integrity serve-smoke obs-smoke bench bench-incremental bench-paper perf-baseline perf-check perf-trend examples lint clean
 
 PERF_BASELINE := benchmarks/baselines/perf_baseline_quick.json
 PERF_REPEATS  := 5
@@ -26,6 +26,13 @@ test-oracles:
 	  tests/test_baselines_golden.py tests/test_baselines_moves.py \
 	  tests/test_baselines_merge.py tests/test_blockmodel_csr.py \
 	  tests/test_blockmodel_lookup.py
+
+# seed-sweep quality gate: GSAP on 16 seeds x the four categories at
+# 300 vertices, mdl_ratio and NMI per category against the committed
+# BENCH_quality.json (one-sided Mann-Whitney p < 0.01 and Cliff's
+# delta >= 0.33 in the worse direction fails); about a minute
+test-quality:
+	PYTHONPATH=src python benchmarks/quality_gate.py check
 
 test-faults:
 	pytest tests/ -m faults

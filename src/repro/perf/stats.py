@@ -10,7 +10,8 @@ comparison as *effect size plus confidence*:
 * :func:`bootstrap_median_ci` / :func:`bootstrap_ratio_ci` —
   percentile-bootstrap confidence intervals with a fixed RNG seed so
   re-rendering a comparison is deterministic;
-* :func:`mann_whitney` — a two-sided Mann–Whitney U rank test.  For
+* :func:`mann_whitney` — a Mann–Whitney U rank test, two-sided or
+  one-sided (``alternative=``).  For
   the small sample counts bench runs afford (k ≤ 8 per side) the exact
   permutation null of the rank-sum statistic is enumerated — the
   normal approximation is only used beyond that, with tie correction.
@@ -156,17 +157,20 @@ def _midranks(pooled: np.ndarray) -> np.ndarray:
 
 
 def mann_whitney(
-    a: Sequence[float], b: Sequence[float]
+    a: Sequence[float], b: Sequence[float], alternative: str = "two-sided"
 ) -> Tuple[float, float]:
-    """Two-sided Mann–Whitney U test; returns ``(U_a, p_value)``.
+    """Mann–Whitney U test; returns ``(U_a, p_value)``.
 
     ``U_a`` counts (with ½ for ties) pairs where an ``a`` sample beats
-    a ``b`` sample.  The null distribution is the exact permutation of
-    rank assignments when ``len(a)+len(b) <= EXACT_LIMIT``; otherwise
-    the tie-corrected normal approximation with continuity correction.
-    Degenerate inputs (either side empty, or all pooled values equal)
-    report ``p = 1.0``.
+    a ``b`` sample.  *alternative* is ``"two-sided"``, ``"greater"``
+    (``a`` tends to exceed ``b``) or ``"less"``.  The null distribution
+    is the exact permutation of rank assignments when
+    ``len(a)+len(b) <= EXACT_LIMIT``; otherwise the tie-corrected normal
+    approximation with continuity correction.  Degenerate inputs (either
+    side empty, or all pooled values equal) report ``p = 1.0``.
     """
+    if alternative not in ("two-sided", "greater", "less"):
+        raise ValueError(f"unknown alternative {alternative!r}")
     xa = np.asarray(list(a), dtype=np.float64)
     xb = np.asarray(list(b), dtype=np.float64)
     n1, n2 = xa.size, xb.size
@@ -182,7 +186,7 @@ def mann_whitney(
 
     if n1 + n2 <= EXACT_LIMIT:
         # exact permutation null of the rank-sum under the observed ties
-        observed = abs(u_a - mean_u)
+        observed = _oriented(u_a - mean_u, alternative)
         total = 0
         extreme = 0
         indices = range(n1 + n2)
@@ -190,7 +194,7 @@ def mann_whitney(
             rs = float(ranks[list(combo)].sum())
             u = rs - n1 * (n1 + 1) / 2.0
             total += 1
-            if abs(u - mean_u) >= observed - 1e-12:
+            if _oriented(u - mean_u, alternative) >= observed - 1e-12:
                 extreme += 1
         return (u_a, extreme / total)
 
@@ -201,9 +205,21 @@ def mann_whitney(
     var_u = n1 * n2 / 12.0 * ((n + 1) - tie_term / (n * (n - 1)))
     if var_u <= 0:
         return (u_a, 1.0)
-    z = (abs(u_a - mean_u) - 0.5) / math.sqrt(var_u)
-    p = math.erfc(max(0.0, z) / math.sqrt(2.0))
+    z = (_oriented(u_a - mean_u, alternative) - 0.5) / math.sqrt(var_u)
+    if alternative == "two-sided":
+        p = math.erfc(max(0.0, z) / math.sqrt(2.0))
+    else:
+        p = 0.5 * math.erfc(z / math.sqrt(2.0))
     return (u_a, min(1.0, p))
+
+
+def _oriented(shift: float, alternative: str) -> float:
+    """How far ``U_a − E[U]`` lies toward the alternative."""
+    if alternative == "greater":
+        return shift
+    if alternative == "less":
+        return -shift
+    return abs(shift)
 
 
 def cliffs_delta(a: Sequence[float], b: Sequence[float]) -> float:

@@ -120,6 +120,31 @@ class TestMannWhitney:
         _, p = mann_whitney(a * 2, b * 2)  # pooled > EXACT_LIMIT
         assert 0.0 < p <= 1.0 and not math.isnan(p)
 
+    def test_one_sided_exact_halves_the_separated_tail(self):
+        # 4v4, a entirely below b: one arrangement of C(8,4) is as extreme
+        a, b = [1, 2, 3, 4], [5, 6, 7, 8]
+        assert mann_whitney(a, b, alternative="less")[1] == pytest.approx(1 / 70)
+        assert mann_whitney(a, b, alternative="greater")[1] == 1.0
+        assert mann_whitney(b, a, alternative="greater")[1] == pytest.approx(1 / 70)
+
+    def test_one_sided_normal_branch_reads_direction(self):
+        rng = np.random.default_rng(11)
+        a = rng.normal(0.0, 1.0, size=EXACT_LIMIT)
+        b = rng.normal(1.0, 1.0, size=EXACT_LIMIT)
+        _, two = mann_whitney(a, b)
+        _, less = mann_whitney(a, b, alternative="less")
+        _, greater = mann_whitney(a, b, alternative="greater")
+        # without the continuity correction the one-sided tails would sum
+        # to exactly 1; with it each side is a shade conservative
+        assert less == pytest.approx(two / 2.0)
+        assert less < 0.5 < greater
+        assert less + greater == pytest.approx(1.0, abs=0.02)
+
+    def test_one_sided_degenerate_and_bad_alternative(self):
+        assert mann_whitney([2.0, 2.0], [2.0, 2.0], alternative="less")[1] == 1.0
+        with pytest.raises(ValueError):
+            mann_whitney([1.0], [2.0], alternative="sideways")
+
 
 class TestCliffsDelta:
     def test_bounds_and_sign(self):
