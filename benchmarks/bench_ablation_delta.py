@@ -1,9 +1,9 @@
-"""Ablation — ΔMDL decomposition (Eqs. 4-6) vs full-entropy recomputation.
+"""Ablation — touched-cell merge ΔMDL (Eqs. 4-6) vs full-entropy recomputation.
 
-GSAP evaluates only the rows/columns a merge touches; the ablated
-variant recomputes the full data term before and after each candidate
-merge.  Expected: the decomposition wins by orders of magnitude and the
-two agree numerically (the agreement is asserted, not assumed).
+GSAP evaluates only the cells a merge touches (``merge_delta_batch``);
+the ablated variant recomputes the full data term before and after each
+candidate merge.  Asserted, not assumed: the two agree within an
+absolute 1e-6 on every candidate, and the touched-cell path is faster.
 """
 
 import numpy as np

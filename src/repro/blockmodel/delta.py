@@ -1,4 +1,4 @@
-"""ΔMDL computation (paper Eqs. 3-7, Figs. 5).
+"""ΔMDL computation (paper Eqs. 3-7).
 
 A proposal (block merge or vertex move) only perturbs rows ``r``/``s`` and
 columns ``r``/``s`` of the blockmodel, so the MDL change is the difference
@@ -12,22 +12,20 @@ Two implementations live here:
 * ``*_dense`` — straightforward formulas over :class:`DenseBlockmodel`:
   ``merge_delta_dense`` scores the CPU baselines' merges, and all are
   the ground truth in property tests;
-* ``*_batch`` — the GSAP formulation on the simulated device.  A merge
-  gathers each proposal's affected rows from the CSR blockmodel, appends
-  the delta entries, merges them with a segmented sort + reduce-by-key
-  (the per-thread "serial merge" of paper Fig. 5 executed as one batched
-  kernel) and sums the entropy terms with segmented reductions.  A
-  vertex move changes only about ``deg(v)`` cells, so it evaluates the
-  data term's split ``Σ g(M) − Σ g(d_out) − Σ g(d_in)`` over just those
-  cells and the degrees of ``r`` and ``s``, in one launch.  Its host
-  body, :func:`move_delta_cells`, also scores the CPU baselines'
-  :class:`DenseBlockmodel` replicas.
+* ``*_cells`` / ``*_batch`` — the GSAP formulation on the simulated
+  device.  Both evaluate the data term's split ``Σ g(M) − Σ g(d_out) −
+  Σ g(d_in)`` over only the cells a proposal changes, in one launch per
+  batch: a vertex move touches about ``deg(v)`` cells plus the degrees
+  of ``r`` and ``s``; a merge of ``a`` and ``c`` touches the cells where
+  both rows (or both columns) are nonzero, the ``{a,c}×{a,c}`` corner
+  and the two degree pairs.  The move body, :func:`move_delta_cells`,
+  also scores the CPU baselines' :class:`DenseBlockmodel` replicas.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -45,6 +43,7 @@ __all__ = [
     "MoveDeltaContext",
     "precompute_block_term_sums",
     "merge_delta_batch",
+    "merge_delta_cells",
     "move_delta_batch",
     "move_delta_cells",
 ]
@@ -246,107 +245,92 @@ def precompute_block_term_sums(
     return r_sums, c_sums
 
 
-def _pairwise_intersection_terms(
+def _xlogx(x: np.ndarray) -> np.ndarray:
+    """Elementwise ``x·ln x`` with ``0·ln 0 = 0`` (``x`` non-negative)."""
+    return x * np.log(np.where(x > 0, x, 1.0))
+
+
+def merge_delta_cells(
     bm: BlockmodelCSR, r: np.ndarray, s: np.ndarray
 ) -> np.ndarray:
-    """Σ of old entropy terms over the 2x2 intersection {r,s}×{r,s}."""
+    """ΔS for a batch of merge proposals ``r[i] → s[i]`` (Eqs. 4-6).
+
+    With the data term split as ``P = Σ_ij g(M_ij) − Σ_i g(d_out_i) −
+    Σ_j g(d_in_j)``, ``g(x) = x·ln x`` (see :func:`move_delta_cells`),
+    merging blocks ``a`` and ``c`` adds rows ``a``, ``c`` and columns
+    ``a``, ``c`` cell by cell, so ``ΔP`` is a sum of
+    ``g(x + y) − g(x) − g(y)`` over
+
+    * row ``a``'s out-entries ``x = M[a,t]`` with ``y = M[c,t]``,
+    * column ``a``'s in-entries ``x = M[t,a]`` with ``y = M[t,c]``,
+
+    for ``t ∉ {a,c}`` (the term is exactly 0 where ``y = 0``, so only
+    cells nonzero in both rows or both columns count), plus the
+    ``{a,c}×{a,c}`` corner folding into one cell, minus the same
+    expression over the two degree pairs.  Per direction the shorter
+    of the two rows (columns) is gathered and its partner looked up;
+    the term is symmetric in ``x`` and ``y``, so this gives the same
+    float as gathering ``a``'s.  Each pair costs
+    O(min(deg_B(a), deg_B(c))) lookups — Peixoto's O(k) evaluation
+    applied to merges.
+
+    Every pair is evaluated in canonical order ``a = min(r,s)``,
+    ``c = max(r,s)``, so ``r → s`` and ``s → r`` give the same float
+    by construction.  Pairs with ``r == s`` get ΔS = 0.  This is the
+    host body of :func:`merge_delta_batch`.
+    """
+    r = np.asarray(r, dtype=INDEX_DTYPE)
+    s = np.asarray(s, dtype=INDEX_DTYPE)
+    delta = np.zeros(len(r), dtype=FLOAT_DTYPE)
+    mv = np.flatnonzero(r != s)
+    a = np.minimum(r[mv], s[mv])
+    c = np.maximum(r[mv], s[mv])
+    pairs = np.arange(len(mv), dtype=INDEX_DTYPE)
+
+    def gather(direction, ptr):
+        # cells outside the intersection add exactly 0 and the term is
+        # symmetric, so the shorter side gives the same float as row a
+        short = np.where(ptr[c + 1] - ptr[c] < ptr[a + 1] - ptr[a], c, a)
+        seg_ptr, t, x = bm.gather_rows(short, direction)
+        own = np.repeat(pairs, seg_ptr[1:] - seg_ptr[:-1])
+        keep = (t != a[own]) & (t != c[own])
+        own = own[keep]
+        return own, t[keep], x[keep], (a + c - short)[own]
+
+    own_o, t_o, x_o, partner_o = gather("out", bm.out_ptr)
+    own_i, t_i, x_i, partner_i = gather("in", bm.in_ptr)
+    rows = np.concatenate((partner_o, t_i, a, a, c, c))
+    cols = np.concatenate((t_o, partner_i, a, c, a, c))
+    looked = bm.lookup(rows, cols).astype(FLOAT_DTYPE)
+    x = np.concatenate((x_o, x_i)).astype(FLOAT_DTYPE)
+    y, corner = looked[: len(x)], looked[len(x):].reshape(4, -1)
     d_out = bm.deg_out.astype(FLOAT_DTYPE)
     d_in = bm.deg_in.astype(FLOAT_DTYPE)
-    total = np.zeros(len(r), dtype=FLOAT_DTYPE)
-    for i_sel, j_sel in ((r, r), (r, s), (s, r), (s, s)):
-        w = bm.lookup(i_sel, j_sel).astype(FLOAT_DTYPE)
-        total += entropy_terms(w, d_out[i_sel], d_in[j_sel])
-    return total
+    deg = np.stack((d_out[a], d_out[c], d_in[a], d_in[c]))
 
-
-def _concat_segment_sources(
-    num_segments: int,
-    sources: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]],
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Interleave several per-segment (ptr, keys, vals) sources.
-
-    Output segment ``p`` is the concatenation of segment ``p`` of every
-    source, in order.  Returns ``(out_ptr, out_keys, out_vals)``.
-    """
-    lengths = [ptr[1:] - ptr[:-1] for ptr, _, _ in sources]
-    total_lengths = np.sum(lengths, axis=0) if sources else np.zeros(num_segments, dtype=INDEX_DTYPE)
-    out_ptr = np.concatenate(([0], np.cumsum(total_lengths))).astype(INDEX_DTYPE)
-    total = int(out_ptr[-1])
-    out_keys = np.empty(total, dtype=INDEX_DTYPE)
-    out_vals = np.empty(total, dtype=FLOAT_DTYPE)
-    prior = np.zeros(num_segments, dtype=INDEX_DTYPE)
-    for (ptr, keys, vals), src_len in zip(sources, lengths):
-        n = int(src_len.sum())
-        if n == 0:
-            continue
-        base = out_ptr[:-1] + prior
-        seg_start = np.concatenate(([0], np.cumsum(src_len)))[:-1]
-        inner = np.arange(n, dtype=INDEX_DTYPE) - np.repeat(seg_start, src_len)
-        pos = np.repeat(base, src_len) + inner
-        out_keys[pos] = keys
-        out_vals[pos] = vals
-        prior = prior + src_len
-    return out_ptr, out_keys, out_vals
-
-
-def _merge_and_sum_terms(
-    device: Device,
-    seg_ptr: np.ndarray,
-    keys: np.ndarray,
-    vals: np.ndarray,
-    d_src_per_seg: np.ndarray,
-    d_in_base: np.ndarray,
-    r: np.ndarray,
-    s: np.ndarray,
-    d_in_shift: np.ndarray,
-    exclude_rs: bool,
-    phase: Optional[str],
-    transpose: bool = False,
-    d_out_shift: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Merge duplicate keys per segment, evaluate entropy terms, sum.
-
-    Parameters
-    ----------
-    d_src_per_seg:
-        The fixed degree of the row (or column when *transpose*) per
-        segment — e.g. the new out-degree of the row being evaluated.
-    d_in_base:
-        Base per-block degree vector used for the varying side.
-    d_in_shift:
-        Per-segment amount added at key ``s`` and removed at key ``r``
-        on the varying side (0 for merges, where the remap to ``s``
-        already folds the degrees).
-    exclude_rs:
-        Drop entries whose key is ``r`` or ``s`` of the segment (used by
-        column sums so the intersection is counted once).
-    transpose:
-        When True the varying side is the *source* degree (column sums).
-    """
-    num_segments = len(seg_ptr) - 1
-    seg_ids = prim.segment_ids_from_ptr(device, seg_ptr, phase)
-    seg_ids, keys, vals = prim.segmented_sort(device, seg_ids, keys, vals, phase)
-    out_seg, out_keys, out_vals = prim.segmented_reduce_by_key(
-        device, seg_ids, keys, vals, phase
-    )
-
-    def body() -> np.ndarray:
-        d_fixed = d_src_per_seg[out_seg]
-        d_var = d_in_base[out_keys].astype(FLOAT_DTYPE)
-        shift = d_in_shift[out_seg]
-        d_var = d_var + np.where(out_keys == s[out_seg], shift, 0.0)
-        d_var = d_var - np.where(out_keys == r[out_seg], shift, 0.0)
-        if transpose:
-            terms = entropy_terms(out_vals, d_var, d_fixed)
-        else:
-            terms = entropy_terms(out_vals, d_fixed, d_var)
-        if exclude_rs:
-            keep = (out_keys != r[out_seg]) & (out_keys != s[out_seg])
-            terms = terms * keep
-        return np.bincount(out_seg, weights=terms, minlength=num_segments)
-
-    cost = KernelCost(max(len(out_keys), 1), ops_per_item=10.0)
-    return device.execute("delta_terms_sum", cost, body, phase)
+    # A negative or infinite count means the blockmodel no longer matches
+    # the graph; min() propagates NaN.
+    for arr in (x, looked, deg):
+        if arr.size and not (arr.min() >= 0 and arr.max() < np.inf):
+            raise NumericalError(
+                "merge_delta_cells: negative or non-finite blockmodel "
+                "count — blockmodel counts are corrupt upstream of Eqs. 4-6"
+            )
+    cells = _xlogx(x + y) - (_xlogx(x) + _xlogx(y))
+    seg = np.concatenate((own_o, own_i))
+    # bincount over zero cells returns int64
+    gain = np.bincount(seg, weights=cells, minlength=len(mv)).astype(FLOAT_DTYPE)
+    gain += _xlogx(corner.sum(axis=0)) - _xlogx(corner).sum(axis=0)
+    gain -= _xlogx(deg[0] + deg[1]) - _xlogx(deg[0]) - _xlogx(deg[1])
+    gain -= _xlogx(deg[2] + deg[3]) - _xlogx(deg[2]) - _xlogx(deg[3])
+    # MDL subtracts the log-posterior P, so ΔMDL = −ΔP.
+    delta[mv] = -gain
+    if delta.size and not np.isfinite(delta).all():
+        raise NumericalError(
+            "merge_delta_cells: non-finite ΔMDL — blockmodel counts are "
+            "corrupt upstream of Eqs. 4-6"
+        )
+    return delta
 
 
 def merge_delta_batch(
@@ -354,98 +338,22 @@ def merge_delta_batch(
     bm: BlockmodelCSR,
     r: np.ndarray,
     s: np.ndarray,
-    term_sums: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     phase: Optional[str] = None,
 ) -> np.ndarray:
-    """ΔS for a batch of merge proposals ``r[i] → s[i]`` (Eqs. 4-6).
-
-    Pairs with ``r == s`` get ΔS = 0.  *term_sums* is the output of
-    :func:`precompute_block_term_sums` (computed here if omitted).
-    """
+    """:func:`merge_delta_cells` as one ``merge_delta_cells`` launch."""
     r = np.asarray(r, dtype=INDEX_DTYPE)
     s = np.asarray(s, dtype=INDEX_DTYPE)
-    if term_sums is None:
-        term_sums = precompute_block_term_sums(device, bm, phase)
-    r_sums, c_sums = term_sums
-
-    # old affected-entry sum: rows r,s fully + cols r,s minus intersection
-    old = (
-        r_sums[r] + r_sums[s] + c_sums[r] + c_sums[s]
-        - _pairwise_intersection_terms(bm, r, s)
+    gathered = sum(
+        int(np.minimum(ptr[r + 1] - ptr[r], ptr[s + 1] - ptr[s]).sum())
+        for ptr in (bm.out_ptr, bm.in_ptr)
     )
-
-    num_pairs = len(r)
-    d_out = bm.deg_out.astype(FLOAT_DTYPE)
-    d_in = bm.deg_in.astype(FLOAT_DTYPE)
-
-    # Fold r's degrees into s on the varying side via a remapped base:
-    # after the merge every reference to r becomes s, so we remap gathered
-    # keys r→s and use per-segment folded degrees at s.
-    def gather_and_remap(direction: str) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        ptr_r, keys_r, vals_r = bm.gather_rows(r, direction)
-        ptr_s, keys_s, vals_s = bm.gather_rows(s, direction)
-        seg_ptr, keys, vals = _concat_segment_sources(
-            num_pairs,
-            [
-                (ptr_r, keys_r, vals_r.astype(FLOAT_DTYPE)),
-                (ptr_s, keys_s, vals_s.astype(FLOAT_DTYPE)),
-            ],
-        )
-        seg_of = np.repeat(np.arange(num_pairs, dtype=INDEX_DTYPE),
-                           seg_ptr[1:] - seg_ptr[:-1])
-        keys = np.where(keys == r[seg_of], s[seg_of], keys)
-        return seg_ptr, keys, vals
-
-    cost = KernelCost(max(num_pairs, 1), ops_per_item=4.0)
-
-    # --- merged row s' ---------------------------------------------------
-    seg_ptr, keys, vals = device.execute(
-        "gather_merge_rows", cost, lambda: gather_and_remap("out"), phase
+    work = 2 * gathered + 4 * len(r)
+    return device.execute(
+        "merge_delta_cells",
+        KernelCost(max(work, 1), ops_per_item=12.0),
+        lambda: merge_delta_cells(bm, r, s),
+        phase,
     )
-    d_in_shift = d_in[r]  # at key s the in-degree is d_in[r] + d_in[s]
-    t_row_new = _merge_and_sum_terms(
-        device,
-        seg_ptr,
-        keys,
-        vals,
-        d_src_per_seg=d_out[r] + d_out[s],
-        d_in_base=bm.deg_in,
-        r=r,
-        s=s,
-        d_in_shift=d_in_shift,
-        exclude_rs=False,
-        phase=phase,
-    )
-
-    # --- merged column s' (excluding the merged row's entry) -------------
-    seg_ptr_c, keys_c, vals_c = device.execute(
-        "gather_merge_cols", cost, lambda: gather_and_remap("in"), phase
-    )
-    d_out_shift = d_out[r]
-    t_col_new = _merge_and_sum_terms(
-        device,
-        seg_ptr_c,
-        keys_c,
-        vals_c,
-        d_src_per_seg=d_in[r] + d_in[s],
-        d_in_base=bm.deg_out,
-        r=r,
-        s=s,
-        d_in_shift=d_out_shift,
-        exclude_rs=True,
-        phase=phase,
-        transpose=True,
-    )
-
-    delta = old - (t_row_new + t_col_new)
-    delta[r == s] = 0.0
-    delta = np.asarray(delta, dtype=FLOAT_DTYPE)
-    if delta.size and not np.isfinite(delta).all():
-        raise NumericalError(
-            "merge_delta_batch: non-finite ΔMDL — blockmodel counts are "
-            "corrupt upstream of Eqs. 4-6"
-        )
-    return delta
 
 
 # ----------------------------------------------------------------------
@@ -476,11 +384,6 @@ class MoveDeltaContext:
     @property
     def num_movers(self) -> int:
         return len(self.r)
-
-
-def _xlogx(x: np.ndarray) -> np.ndarray:
-    """Elementwise ``x·ln x`` with ``0·ln 0 = 0`` (``x`` non-negative)."""
-    return x * np.log(np.where(x > 0, x, 1.0))
 
 
 def move_delta_cells(

@@ -155,36 +155,6 @@ def rebuild_blockmodel(
     )
 
 
-def rebuild_blockmodel_dense(
-    device: Device,
-    graph: DiGraphCSR,
-    bmap: IndexArray,
-    num_blocks: Optional[int] = None,
-    phase: str = UPDATE_PHASE,
-) -> BlockmodelCSR:
-    """Host-side rebuild through the dense path (degradation fallback).
-
-    Aggregates edges with :class:`~repro.blockmodel.dense.DenseBlockmodel`
-    on the host and converts to CSR — no device kernels, no device
-    scratch memory.  Slower per call than Algorithm 2, but immune to
-    device memory pressure; the resilience ladder switches to it when
-    repeated OOM survives batch-size halving.  The *device*/*phase*
-    arguments are accepted (and ignored) so it is call-compatible with
-    :func:`rebuild_blockmodel`.
-    """
-    from .dense import DenseBlockmodel
-
-    bmap = np.asarray(bmap, dtype=INDEX_DTYPE)
-    if len(bmap) != graph.num_vertices:
-        raise PartitionError(
-            f"bmap length {len(bmap)} != |V|={graph.num_vertices}"
-        )
-    if num_blocks is None:
-        num_blocks = int(bmap.max()) + 1 if len(bmap) else 0
-    dense = DenseBlockmodel.from_graph(graph, bmap, num_blocks)
-    return BlockmodelCSR.from_dense(dense.matrix)
-
-
 def rebuild_blockmodel_cpu(
     graph: DiGraphCSR, bmap: IndexArray, num_blocks: Optional[int] = None
 ) -> BlockmodelCSR:

@@ -20,7 +20,10 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..blockmodel.blockmodel import BlockmodelCSR
-from ..blockmodel.delta import merge_delta_batch, precompute_block_term_sums
+from ..blockmodel.delta import merge_delta_batch
+# Unused here; kept as a module attribute so tools that wrap the
+# block-merge entry points by name still find it.
+from ..blockmodel.delta import precompute_block_term_sums  # noqa: F401
 from ..blockmodel.incremental import IncrementalBlockmodel
 from ..config import SBPConfig
 from ..errors import PartitionError
@@ -202,9 +205,8 @@ def run_block_merge_phase(
             batch = propose_block_merges(
                 device, blockmodel, rng, config.num_proposals, PHASE
             )
-            term_sums = precompute_block_term_sums(device, blockmodel, PHASE)
             delta = merge_delta_batch(
-                device, blockmodel, batch.proposers, batch.proposals, term_sums, PHASE
+                device, blockmodel, batch.proposers, batch.proposals, PHASE
             )
             proposal_time += time.perf_counter() - t0
             total_evaluated += len(delta)

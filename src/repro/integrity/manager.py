@@ -20,7 +20,9 @@ blockmodel) pair.  A site does three things, in order:
      (rebuilding from a corrupted assignment would launder the damage
      into a consistent-but-wrong state);
    * ``targeted_rebuild`` — Algorithm 2 from the (restored) assignment;
-   * ``dense_rebuild`` — the host dense fallback path;
+   * ``dense_rebuild`` — a host rebuild through
+     :func:`~repro.integrity.auditor.reference_blockmodel` (no device,
+     no dense matrix; the rung keeps its old name for reports);
    * ``checkpoint_restore`` — re-derive state from the last checkpoint's
      assignment, when the caller wired one in;
 
@@ -43,12 +45,12 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from ..blockmodel.update import rebuild_blockmodel, rebuild_blockmodel_dense
+from ..blockmodel.update import rebuild_blockmodel
 from ..config import IntegrityConfig
 from ..errors import IntegrityError
 from ..gpusim.device import buffer_digest
 from ..obs.hub import NULL_OBS
-from .auditor import audit_blockmodel, structure_arrays
+from .auditor import audit_blockmodel, reference_blockmodel, structure_arrays
 
 logger = logging.getLogger(__name__)
 
@@ -269,9 +271,7 @@ class IntegrityManager:
                         self.device, self.graph, bmap, num_blocks, phase
                     )
                 elif rung == "dense_rebuild":
-                    candidate = rebuild_blockmodel_dense(
-                        self.device, self.graph, bmap, num_blocks, phase
-                    )
+                    candidate = reference_blockmodel(self.graph, bmap, num_blocks)
                 elif rung == "checkpoint_restore":
                     if self.restore_assignment is None:
                         continue
@@ -283,9 +283,7 @@ class IntegrityManager:
                         continue
                     bmap[:] = restored_bmap
                     num_blocks = int(restored_blocks)
-                    candidate = rebuild_blockmodel_dense(
-                        self.device, self.graph, bmap, num_blocks, phase
-                    )
+                    candidate = reference_blockmodel(self.graph, bmap, num_blocks)
             if candidate is None:
                 continue
             # Re-audit the candidate: digests must match the shadow again

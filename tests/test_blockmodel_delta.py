@@ -18,15 +18,18 @@ from repro.blockmodel.delta import (
     merge_delta_dense,
     move_delta_batch,
     move_delta_cells,
+    merge_delta_cells,
     move_delta_dense,
-    precompute_block_term_sums,
 )
 from repro.blockmodel.dense import DenseBlockmodel
 from repro.blockmodel.entropy import data_log_posterior_dense
+from repro.blockmodel import blockmodel as csr_module
+from repro.core.block_merge import select_best_proposals
 from repro.core.mh import accept_moves
 from repro.core.vertex_move import build_move_context, move_context
 from repro.errors import NumericalError
 from repro.gpusim.device import A4000, Device
+from repro.graph.datasets import load_dataset
 
 
 def neighborhood_of(graph, bmap, v) -> VertexNeighborhood:
@@ -149,14 +152,6 @@ class TestTargetedCases:
         device = Device(A4000)
         out = merge_delta_batch(device, bm, np.array([1]), np.array([1]))
         assert out[0] == 0.0
-
-    def test_precomputed_term_sums_reused(self):
-        dense, bm = self.setup_model()
-        device = Device(A4000)
-        sums = precompute_block_term_sums(device, bm)
-        a = merge_delta_batch(device, bm, np.array([0]), np.array([1]), sums)
-        b_ = merge_delta_batch(device, bm, np.array([0]), np.array([1]))
-        assert a[0] == pytest.approx(b_[0])
 
     def test_merge_symmetric_blocks(self):
         """Merging r into s and s into r yield the same ΔMDL (the merged
@@ -295,3 +290,147 @@ class TestTouchedCellMoveDelta:
         ctx = move_context(graph, bmap, np.array([0]), np.array([1]))
         with pytest.raises(NumericalError):
             move_delta_cells(corrupt, ctx)
+
+
+class TestTouchedCellMergeDelta:
+    """The touched-cell merge delta against the dense Eqs. 4-6 oracle."""
+
+    @staticmethod
+    def _all_pairs(b):
+        r, s = np.divmod(np.arange(b * b), b)
+        return r, s
+
+    @staticmethod
+    def _dense_all_pairs(dense, r, s):
+        return np.array([merge_delta_dense(dense, int(i), int(j))
+                         for i, j in zip(r, s)])
+
+    @staticmethod
+    def _dataset_model(num_blocks, num_vertices=400):
+        graph, _ = load_dataset("low_low", num_vertices, seed=0)
+        rng = np.random.default_rng(num_blocks)
+        bmap = rng.permutation(np.arange(graph.num_vertices) % num_blocks)
+        dense = DenseBlockmodel.from_graph(graph, bmap, num_blocks)
+        return dense, BlockmodelCSR.from_dense(dense.matrix)
+
+    def test_every_pair_of_the_edge_cases_matches_dense(
+        self, device, move_edge_cases
+    ):
+        graph, bmap, b = move_edge_cases[:3]
+        dense = DenseBlockmodel.from_graph(graph, bmap, b)
+        bm = BlockmodelCSR.from_dense(dense.matrix)
+        r, s = self._all_pairs(b)
+        got = merge_delta_batch(device, bm, r, s)
+        np.testing.assert_allclose(
+            got, self._dense_all_pairs(dense, r, s), rtol=1e-9, atol=1e-9
+        )
+
+    def test_every_pair_of_a_dataset_graph_matches_dense_on_both_lookup_paths(
+        self, device, monkeypatch
+    ):
+        dense, bm = self._dataset_model(40)
+        r, s = self._all_pairs(40)
+        expected = self._dense_all_pairs(dense, r, s)
+        assert bm._lookup_table() is not None
+        on_table = merge_delta_batch(device, bm, r, s)
+        np.testing.assert_allclose(on_table, expected, rtol=1e-9, atol=1e-9)
+        # the same model above the table budget answers by binary search
+        monkeypatch.setattr(csr_module, "LOOKUP_TABLE_MAX_CELLS", 0)
+        searched = BlockmodelCSR.from_dense(dense.matrix)
+        assert searched._lookup_table() is None
+        assert np.array_equal(merge_delta_batch(device, searched, r, s), on_table)
+
+    def test_above_the_table_budget_matches_dense(self, device):
+        b = 2100  # B² > LOOKUP_TABLE_MAX_CELLS: lookup's search path
+        dense, bm = self._dataset_model(b, num_vertices=3000)
+        assert b * b > csr_module.LOOKUP_TABLE_MAX_CELLS
+        assert bm._lookup_table() is None
+        rng = np.random.default_rng(1)
+        for r in rng.choice(b, 6, replace=False):
+            s = np.concatenate(([r], rng.choice(b, 63, replace=False)))
+            got = merge_delta_batch(device, bm, np.full(len(s), r), s)
+            np.testing.assert_allclose(
+                got, merge_delta_dense(dense, int(r), s), rtol=1e-9, atol=1e-9
+            )
+            assert got[0] == 0.0
+
+    def test_both_directions_are_bit_equal_and_self_merges_zero(self, device):
+        dense, bm = self._dataset_model(40)
+        r, s = self._all_pairs(40)
+        forward = merge_delta_batch(device, bm, r, s)
+        assert np.array_equal(forward, merge_delta_cells(bm, s, r))
+        # a pair's value does not depend on where it sits in the batch
+        order = np.random.default_rng(2).permutation(len(r))
+        assert np.array_equal(
+            merge_delta_cells(bm, r[order], s[order]), forward[order]
+        )
+        assert np.all(forward[r == s] == 0.0)
+        assert np.all(forward[r != s] != 0.0)
+
+    def test_first_strict_minimum_per_block_is_kept(self, device):
+        dense, bm = self._dataset_model(40)
+        b, k = 40, 4
+        rng = np.random.default_rng(3)
+        # slot k·B + b is block b's k-th proposal; repeat targets so that
+        # bit-equal ties occur inside a block's proposals
+        targets = rng.integers(0, b, size=(2, b))
+        proposals = np.concatenate((targets, targets[::-1])).ravel()
+        proposers = np.tile(np.arange(b), k)
+        delta = merge_delta_batch(device, bm, proposers, proposals)
+        best_d, best_p = select_best_proposals(delta, proposals, b, k)
+        for block in range(b):
+            slots = delta.reshape(k, b)[:, block]
+            first = 0
+            for j in range(1, k):
+                if slots[j] < slots[first]:
+                    first = j
+            assert best_d[block] == slots[first]
+            assert best_p[block] == proposals.reshape(k, b)[first, block]
+
+    @staticmethod
+    def _model():
+        m = np.array(
+            [[2, 1, 3, 0], [1, 2, 4, 1], [0, 3, 1, 2], [5, 0, 1, 1]],
+            dtype=np.int64,
+        )
+        return m
+
+    @staticmethod
+    def _float_copy(bm):
+        for name in ("out_wgt", "in_wgt", "deg_out", "deg_in"):
+            setattr(bm, name, getattr(bm, name).astype(np.float64))
+        return bm
+
+    def _corrupt(self, where):
+        m = self._model()
+        if where in ("gathered", "looked_up", "corner"):
+            # merging 0 and 1 gathers M[0,2] and M[3,0] and looks up
+            # M[1,2], M[3,1] and the corner M[{0,1},{0,1}]
+            cell = {"gathered": (0, 2), "looked_up": (1, 2),
+                    "corner": (1, 1)}[where]
+            m[cell] = -m[cell]
+            return BlockmodelCSR.from_dense(m)
+        bm = self._float_copy(BlockmodelCSR.from_dense(m))
+        if where == "gathered_nan":
+            bm.out_wgt[bm.out_ptr[0] + 2] = np.nan  # M[0,2]
+        elif where == "degree":
+            bm.deg_out[1] = -1
+        elif where == "degree_nan":
+            bm.deg_in[0] = np.inf
+        return bm
+
+    @pytest.mark.parametrize(
+        "where",
+        ["gathered", "gathered_nan", "looked_up", "corner", "degree",
+         "degree_nan"],
+    )
+    def test_corrupt_count_raises(self, device, where):
+        bm = self._corrupt(where)
+        with pytest.raises(NumericalError):
+            merge_delta_batch(device, bm, np.array([1]), np.array([0]))
+
+    def test_uncorrupted_model_does_not_raise(self, device):
+        bm = self._float_copy(BlockmodelCSR.from_dense(self._model()))
+        dense = DenseBlockmodel(self._model())
+        got = merge_delta_batch(device, bm, np.array([1]), np.array([0]))
+        assert got[0] == pytest.approx(merge_delta_dense(dense, 1, 0), rel=1e-12)
