@@ -27,10 +27,11 @@ test-oracles:
 	  tests/test_baselines_merge.py tests/test_blockmodel_csr.py \
 	  tests/test_blockmodel_lookup.py
 
-# seed-sweep quality gate: GSAP on 16 seeds x the four categories at
-# 300 vertices, mdl_ratio and NMI per category against the committed
-# BENCH_quality.json (one-sided Mann-Whitney p < 0.01 and Cliff's
-# delta >= 0.33 in the worse direction fails); about a minute
+# seed-sweep quality gate: GSAP and ReferenceSBP on 16 seeds x the four
+# categories at 300 vertices, mdl_ratio and NMI per category, each engine
+# against its own samples in the committed BENCH_quality.json (one-sided
+# Mann-Whitney p < 0.01 and Cliff's delta >= 0.33 in the worse direction
+# fails); ~6 minutes, most of it the ReferenceSBP sweep
 test-quality:
 	PYTHONPATH=src python benchmarks/quality_gate.py check
 

@@ -64,12 +64,46 @@ class TestCommittedRecord:
         base = gate.baseline_samples(record)
         assert gate.report(gate.compare(base, base), log=lambda *_: None)
 
-    def test_anchor_is_report_only(self, gate, record):
-        # the gate reads GSAP's samples; the ReferenceSBP anchor never gates
-        base = gate.baseline_samples(record)
-        anchor = gate.baseline_samples(record, "ReferenceSBP")
-        assert set(base) == set(anchor) == set(CATEGORIES)
-        assert base != anchor
+    def test_each_engine_is_gated_on_its_own_samples(
+        self, gate, record, monkeypatch
+    ):
+        # check sweeps every engine and compares each sweep with that
+        # engine's recorded samples, never with another engine's
+        assert gate.ENGINES == ("GSAP", "ReferenceSBP")
+        own = {a: gate.baseline_samples(record, a) for a in gate.ENGINES}
+        assert all(set(s) == set(CATEGORIES) for s in own.values())
+        assert own["GSAP"] != own["ReferenceSBP"]
+        swept, compared = [], []
+        compare = gate.compare
+
+        def fake_sweep(algorithm, seeds, overrides):
+            swept.append(algorithm)
+            return own[algorithm]
+
+        def spy(baseline, candidate):
+            compared.append((baseline, candidate))
+            return compare(baseline, candidate)
+
+        monkeypatch.setattr(gate, "sweep", fake_sweep)
+        monkeypatch.setattr(gate, "compare", spy)
+        assert gate.main(["check"]) == 0
+        assert swept == list(gate.ENGINES)
+        assert compared == [(own[a], own[a]) for a in gate.ENGINES]
+
+    @pytest.mark.parametrize("failing", ["GSAP", "ReferenceSBP"])
+    def test_check_fails_when_either_engine_fails(
+        self, gate, record, monkeypatch, failing
+    ):
+        def fake_sweep(algorithm, seeds, overrides):
+            samples = gate.baseline_samples(record, algorithm)
+            if algorithm == failing:
+                samples = {c: {"mdl_ratio": [x + 1.0 for x in q["mdl_ratio"]],
+                               "nmi": q["nmi"]}
+                           for c, q in samples.items()}
+            return samples
+
+        monkeypatch.setattr(gate, "sweep", fake_sweep)
+        assert gate.main(["check"]) == 1
 
 
 class TestVerdictRule:
