@@ -322,11 +322,18 @@ class Device:
             Zero-argument callable executing the vectorized kernel.
         phase:
             Optional phase label (``block_merge`` / ``vertex_move`` /
-            ``update`` / ...) for breakdown reports.
+            ``update`` / ...) for breakdown reports; anything but ``None``
+            or a ``str`` (an argument passed in the wrong slot) raises
+            :class:`KernelLaunchError` before the body runs.
         """
         if cost.work_items < 0:
             raise KernelLaunchError(
                 f"kernel {name!r} launched with negative work: {cost.work_items}"
+            )
+        if phase is not None and not isinstance(phase, str):
+            raise KernelLaunchError(
+                f"kernel {name!r} launched with a non-string phase label of "
+                f"type {type(phase).__name__}"
             )
         if self.fault_injector is not None:
             self.fault_injector.on_kernel(name, phase, cost.resolved_bytes())

@@ -1,5 +1,6 @@
 """Tests for the simulated device: memory accounting, clocks, cost model."""
 
+import numpy as np
 import pytest
 
 from repro.errors import DeviceError, DeviceMemoryError, KernelLaunchError
@@ -112,6 +113,16 @@ class TestExecute:
         dev = Device(A4000)
         with pytest.raises(KernelLaunchError):
             dev.execute("k", KernelCost(-1), lambda: None)
+
+    @pytest.mark.parametrize("phase", [(np.zeros(2), np.ones(2)), 3, b"merge"])
+    def test_non_string_phase_rejected_before_the_body(self, phase):
+        # e.g. a tuple of arrays passed in the phase slot by mistake
+        dev = Device(A4000)
+        ran = []
+        with pytest.raises(KernelLaunchError, match="phase"):
+            dev.execute("k", KernelCost(1), lambda: ran.append(1), phase)
+        assert ran == []
+        assert dev.profiler.launch_count() == 0
 
     def test_records_phase(self):
         dev = Device(A4000)
