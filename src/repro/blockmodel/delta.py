@@ -9,17 +9,19 @@ GraphChallenge reference implementation.
 
 Two implementations live here:
 
-* ``*_dense`` — straightforward formulas over :class:`DenseBlockmodel`:
-  ``merge_delta_dense`` scores the CPU baselines' merges, and all are
-  the ground truth in property tests;
-* ``*_cells`` / ``*_batch`` — the GSAP formulation on the simulated
-  device.  Both evaluate the data term's split ``Σ g(M) − Σ g(d_out) −
-  Σ g(d_in)`` over only the cells a proposal changes, in one launch per
-  batch: a vertex move touches about ``deg(v)`` cells plus the degrees
-  of ``r`` and ``s``; a merge of ``a`` and ``c`` touches the cells where
-  both rows (or both columns) are nonzero, the ``{a,c}×{a,c}`` corner
-  and the two degree pairs.  The move body, :func:`move_delta_cells`,
-  also scores the CPU baselines' :class:`DenseBlockmodel` replicas.
+* ``*_dense`` — straightforward formulas over whole rows and columns
+  of a :class:`DenseBlockmodel`; they are the oracles of the tests and
+  no engine calls them;
+* ``*_cells`` / ``*_batch`` — the formulation every engine runs.  Both
+  evaluate the data term's split ``Σ g(M) − Σ g(d_out) − Σ g(d_in)``
+  over only the cells a proposal changes, in one launch per batch: a
+  vertex move touches about ``deg(v)`` cells plus the degrees of ``r``
+  and ``s``; a merge of ``a`` and ``c`` touches the cells where both
+  rows (or both columns) are nonzero, the ``{a,c}×{a,c}`` corner and
+  the two degree pairs.  GSAP launches them on the simulated device;
+  the CPU baselines call the host bodies directly —
+  :func:`move_delta_cells` on their :class:`DenseBlockmodel` replicas,
+  :func:`merge_delta_cells` once per merge round on a CSR view of them.
 """
 
 from __future__ import annotations
@@ -63,8 +65,10 @@ def merge_delta_dense(
 
     *s* may also be a 1-D array of candidate blocks; the result is then
     one ΔS per candidate, each bit-identical to the scalar call (every
-    row sums the same cells in the same order).  The CPU baselines score
-    all proposals of one block this way.
+    row sums the same cells in the same order).
+
+    This is the oracle of :func:`merge_delta_cells`, which every engine
+    scores merges with: the two agree to rounding, not bit for bit.
     """
     targets = np.atleast_1d(np.asarray(s, dtype=INDEX_DTYPE))
     moving = targets != r  # r == s merges nothing: ΔS = 0
@@ -277,7 +281,8 @@ def merge_delta_cells(
     Every pair is evaluated in canonical order ``a = min(r,s)``,
     ``c = max(r,s)``, so ``r → s`` and ``s → r`` give the same float
     by construction.  Pairs with ``r == s`` get ΔS = 0.  This is the
-    host body of :func:`merge_delta_batch`.
+    host body of :func:`merge_delta_batch`, and the CPU baselines call
+    it once per merge round.
     """
     r = np.asarray(r, dtype=INDEX_DTYPE)
     s = np.asarray(s, dtype=INDEX_DTYPE)

@@ -138,17 +138,20 @@ class TestBatchedLocalPhase:
 
 
 class TestByteIdentityOracle:
-    """The refactor onto :mod:`repro.dist` must not change the answer:
-    fault-free runs are pinned to the partitions, MDL, round counts and
-    wire volume the pre-refactor direct-exchange EDiSt produced."""
+    """Fault-free runs are pinned to their partitions, round counts and
+    wire volume, so a refactor of the message runtime or of the shared
+    CPU engine code cannot change the answer unnoticed.  The values are
+    those of the batched touched-cell merge round, re-recorded when it
+    replaced the whole-row merge sums (the pre-:mod:`repro.dist`
+    direct-exchange values held until then)."""
 
     GOLDEN = {
         # num_ranks -> (partition sha256, rounds, bytes_sent)
-        4: ("bb379c25dd051ac05a4bddd41501fd0bb9211fa4347ba48a42bec375c39e74da",
-            38, 36432),
-        2: ("cb69c33b1245e870fa639a669ed3f70d9f6a8b58368a53e16727eea768b2db9f",
-            34, 9120),
-        1: ("e3c0d8c24b71e4be142e35e29d23b4c6224fb5c91f29965a7aaf8719b4a9647b",
+        4: ("57ece788ad464ce3a9ae054f687cebbe37840763ab684c00a29a7dbabfbbde40",
+            36, 30600),
+        2: ("cea4367d7db87cee473c2f3149b31a86b880912abfd056090dbce535f3e03280",
+            34, 9144),
+        1: ("5d33c6c67756dcdd3c9560939dea0ad9b736cb3c75b8664754cb4b8d4e7d30eb",
             36, 0),
     }
 

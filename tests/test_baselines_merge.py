@@ -1,11 +1,13 @@
 """The CPU engines' block-merge scoring against the per-proposal rule.
 
-``merge_delta_dense(model, r, targets)`` scores every proposal of block
-*r* in one call, and ``CPUSBPEngine._merge_phase`` draws all of a block's
-proposals before scoring them.  The oracles below are what they replaced,
-inlined: the scalar ΔS formula, and the loop that scored each proposal
-right after drawing it and kept the first strict minimum.  Results must
-be bit-identical, and the generator must end in the same state.
+``CPUSBPEngine._merge_phase`` draws every block's proposals, then scores
+the whole round in one ``merge_delta_cells`` call (the touched-cell body
+GSAP launches).  The oracle below is the loop it replaced: score each
+proposal through ``merge_delta_cells`` right after drawing it and keep
+the first strict minimum.  Results must be bit-identical, and the
+generator must end in the same state.  The round's ΔS must also agree
+with ``merge_delta_dense``, the whole-row formula, which is checked here
+bit-for-bit against the scalar per-pair formula it batches.
 """
 
 import numpy as np
@@ -13,9 +15,11 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import build_graph, graphs_with_partitions
+from repro.baselines import common
 from repro.baselines.common import CPUSBPEngine
 from repro.baselines.moves import propose_from_blockmodel
-from repro.blockmodel.delta import merge_delta_dense
+from repro.blockmodel.blockmodel import BlockmodelCSR
+from repro.blockmodel.delta import merge_delta_cells, merge_delta_dense
 from repro.blockmodel.dense import DenseBlockmodel
 from repro.blockmodel.entropy import entropy_terms
 from repro.config import SBPConfig
@@ -68,6 +72,7 @@ def per_proposal_merge(model, bmap, target, rng, graph, num_proposals):
         b = model.num_blocks
         best_delta = np.full(b, np.inf)
         best_proposal = np.full(b, -1)
+        bm = BlockmodelCSR.from_dense(model.matrix)
         for r in range(b):
             weights = (model.matrix[r, :] + model.matrix[:, r]).astype(float)
             cands = np.flatnonzero(weights)
@@ -75,7 +80,7 @@ def per_proposal_merge(model, bmap, target, rng, graph, num_proposals):
                 s = propose_from_blockmodel(
                     model, cands, weights[cands], rng, exclude=r
                 )
-                delta = scalar_merge_delta(model, r, s)
+                delta = merge_delta_cells(bm, np.array([r]), np.array([s]))[0]
                 proposals += 1
                 if delta < best_delta[r]:
                     best_delta[r] = delta
@@ -164,6 +169,62 @@ def test_merge_phase_matches_per_proposal_rule(category, target):
     assert model.num_blocks == target
     assert proposals == want_proposals
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+def _spy_on_rounds(monkeypatch):
+    """Record every ``merge_delta_cells`` call and every applied round."""
+    calls, rounds = [], []
+
+    def scored(bm, r, s):
+        out = merge_delta_cells(bm, r, s)
+        calls.append((bm, r, s, out))
+        return out
+
+    def applied(bmap, b, *rest):
+        rounds.append(b)
+        return apply_merges(bmap, b, *rest)
+
+    monkeypatch.setattr(common, "merge_delta_cells", scored)
+    monkeypatch.setattr("repro.core.block_merge.apply_merges", applied)
+    return calls, rounds
+
+
+def _merge_down(category, targets, num_proposals=6):
+    """Successive merge phases from 60 random blocks down to *targets*."""
+    graph, _ = load_dataset(category, 120, seed=1)
+    bmap = np.random.default_rng(2).integers(0, 60, graph.num_vertices)
+    bmap = np.unique(bmap, return_inverse=True)[1]
+    model = DenseBlockmodel.from_graph(graph, bmap, int(bmap.max()) + 1)
+    engine = CPUSBPEngine(SBPConfig(num_proposals=num_proposals))
+    rng = np.random.default_rng(3)
+    for target in targets:
+        bmap, model, _, _ = engine._merge_phase(model, bmap, target, rng, graph)
+
+
+@pytest.mark.parametrize("category", ["low_low", "high_high"])
+def test_each_round_is_one_merge_delta_cells_call(monkeypatch, category):
+    calls, rounds = _spy_on_rounds(monkeypatch)
+    _merge_down(category, (30, 15, 8, 4, 2))
+    assert len(rounds) >= 5
+    assert len(calls) == len(rounds)
+    for (bm, r, s, _), b in zip(calls, rounds):
+        assert bm.num_blocks == b
+        np.testing.assert_array_equal(r, np.repeat(np.arange(b), 6))
+        assert len(s) == b * 6
+
+
+@pytest.mark.parametrize("category", ["low_low", "high_low", "high_high"])
+def test_round_delta_agrees_with_merge_delta_dense(monkeypatch, category):
+    calls, _ = _spy_on_rounds(monkeypatch)
+    _merge_down(category, (20, 8))
+    for bm, r, s, got in calls:
+        dense = DenseBlockmodel(bm.to_dense())
+        for block in range(bm.num_blocks):
+            mine = r == block
+            np.testing.assert_allclose(
+                got[mine], merge_delta_dense(dense, block, s[mine]),
+                rtol=1e-9, atol=1e-9,
+            )
 
 
 def test_first_strict_minimum_wins_a_tie():
