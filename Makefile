@@ -1,6 +1,6 @@
 # Convenience targets for the GSAP reproduction.
 
-.PHONY: install test test-fast test-oracles test-quality test-faults test-dist test-integrity serve-smoke obs-smoke bench bench-incremental bench-paper perf-baseline perf-check perf-trend examples lint clean
+.PHONY: install test test-fast test-oracles test-quality test-faults test-dist test-integrity serve-smoke obs-smoke bench bench-incremental bench-paper perf-baseline perf-check perf-trend examples clean
 
 PERF_BASELINE := benchmarks/baselines/perf_baseline_quick.json
 PERF_REPEATS  := 5

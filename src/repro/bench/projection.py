@@ -77,7 +77,7 @@ class MeasuredPoint:
     sim_time_s: float
     wall_time_s: float
     num_launches: int
-    work_time_s: float  # sim time minus launch/transfer overheads
+    work_time_s: float  # sim time minus launch overheads
 
 
 @dataclass(frozen=True)
@@ -117,9 +117,7 @@ def measure_scaling(
         graph, _ = load_dataset(category, size)
         device = Device(A4000)
         result = GSAPPartitioner(config, device=device).partition(graph)
-        launches = device.profiler.launch_count() + len(
-            device.profiler.transfer_records
-        )
+        launches = device.profiler.launch_count()
         work = max(result.sim_time_s - launches * overhead, 1e-9)
         points.append(
             MeasuredPoint(

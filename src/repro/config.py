@@ -107,8 +107,6 @@ class ObservabilityConfig:
     trace_kernels:
         Bridge the simulated device's kernel launches into the tracer
         as leaf spans (one span per launch; the dominant span volume).
-    trace_transfers:
-        Emit spans for host<->device PCIe transfers.
     track_deltas:
         Feed per-proposal ΔMDL values into histograms (adds one NumPy
         bucketing pass per MCMC batch).
@@ -116,7 +114,6 @@ class ObservabilityConfig:
 
     enabled: bool = False
     trace_kernels: bool = True
-    trace_transfers: bool = True
     track_deltas: bool = True
 
     def replace(self, **changes: object) -> "ObservabilityConfig":
@@ -148,16 +145,12 @@ class IntegrityConfig:
     mdl_tol:
         Relative tolerance when comparing the incrementally tracked MDL
         against the recomputed-from-scratch value.
-    track_device_digests:
-        Also enable the device-level CRC32 buffer digest registry
-        (:meth:`repro.gpusim.Device.verify_buffers`).
     """
 
     audit: bool = False
     audit_every: int = 1
     repair: bool = False
     mdl_tol: float = 1e-6
-    track_device_digests: bool = False
 
     def __post_init__(self) -> None:
         if self.audit_every < 1:

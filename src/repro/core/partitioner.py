@@ -189,7 +189,7 @@ class GSAPPartitioner:
                       target=target):
             bmap = resume.bmap.copy()
             blockmodel = rebuild_blockmodel(
-                maint_device, graph, bmap, resume.num_blocks, "block_merge"
+                maint_device, graph, bmap, resume.num_blocks
             )
             if integrity is not None:
                 blockmodel = integrity.site(bmap, blockmodel, "block_merge")
@@ -457,7 +457,7 @@ class GSAPPartitioner:
 
             def build_initial(_attempt: int) -> float:
                 blockmodel = rebuild_blockmodel(
-                    device, graph, bmap0, num_vertices, "block_merge"
+                    device, graph, bmap0, num_vertices
                 )
                 return description_length(blockmodel, num_vertices, total_weight)
 

@@ -156,7 +156,7 @@ class StreamingGSAP:
                         budget=budget, resilience_stats=stats,
                     )
                     blockmodel = rebuild_blockmodel(
-                        device, graph, stage_bmap, entry_blocks, "vertex_move"
+                        device, graph, stage_bmap, entry_blocks
                     )
                     blockmodel = integrity.site(
                         stage_bmap, blockmodel, "vertex_move"

@@ -34,7 +34,7 @@ class DeviceError(ReproError):
 
 
 class DeviceMemoryError(DeviceError):
-    """The simulated device ran out of (configured) memory."""
+    """The simulated device ran out of memory (raised by injected ``oom`` faults)."""
 
 
 class KernelLaunchError(DeviceError):

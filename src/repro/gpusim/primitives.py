@@ -2,14 +2,12 @@
 
 These are the building blocks GSAP composes its kernels from (paper
 Algorithm 2 names them directly): ``sort_by_key``, segmented sort,
-subsegment-head detection, exclusive scan, segmented reduction, and
-reduce-by-key.  Every primitive routes through :meth:`Device.execute`
-so the profiler and the simulated clock see one launch with a cost
-proportional to the data touched.
+exclusive scan, segmented reduction, and reduce-by-key.  Every primitive
+routes through :meth:`Device.execute` so the profiler and the simulated
+clock see one launch with a cost proportional to the data touched.
 
 All primitives take and return plain ``numpy`` arrays — device residence
-is by convention (the partitioner uploads the graph once and downloads the
-result once; everything between stays "on device").
+is by convention, and no host<->device copy is charged.
 """
 
 from __future__ import annotations
@@ -98,35 +96,6 @@ def sort_by_key(
     )
 
 
-def argsort_by_key(
-    device: Device, keys: np.ndarray, phase: Optional[str] = None
-) -> np.ndarray:
-    """Stable argsort (returns the permutation, as CUB's sort-pairs does)."""
-    keys = np.asarray(keys)
-    return device.execute(
-        "argsort_by_key",
-        _cost_linear(len(keys), _LOG2_SORT_FACTOR, 4),
-        lambda: np.argsort(keys, kind="stable"),
-        phase,
-    )
-
-
-def segment_ids_from_ptr(
-    device: Device, seg_ptr: np.ndarray, phase: Optional[str] = None
-) -> np.ndarray:
-    """Expand a CSR pointer array into per-element segment ids."""
-    seg_ptr = np.asarray(seg_ptr)
-    lengths = seg_ptr[1:] - seg_ptr[:-1]
-    total = int(seg_ptr[-1]) if len(seg_ptr) else 0
-
-    def body() -> np.ndarray:
-        return np.repeat(
-            np.arange(len(lengths), dtype=INDEX_DTYPE), lengths
-        )
-
-    return device.execute("segment_ids", _cost_linear(total, 1.0), body, phase)
-
-
 _INT64_LIMIT = 2**63
 
 
@@ -212,35 +181,6 @@ def segmented_sort(
 
     return device.execute(
         "segmented_sort", _cost_linear(len(keys), _LOG2_SORT_FACTOR, 6), body, phase
-    )
-
-
-def find_subsegment_heads(
-    device: Device,
-    seg_ids: np.ndarray,
-    keys: np.ndarray,
-    phase: Optional[str] = None,
-) -> np.ndarray:
-    """Flag positions starting a new (segment, key) run (paper Fig. 7 step).
-
-    Implements the warp-shuffle adjacent-compare of Algorithm 2 line 6:
-    ``head[i] = (i == 0) or seg[i] != seg[i-1] or key[i] != key[i-1]``.
-    """
-    seg_ids = np.asarray(seg_ids)
-    keys = np.asarray(keys)
-
-    def body() -> np.ndarray:
-        n = len(keys)
-        heads = np.empty(n, dtype=bool)
-        if n == 0:
-            return heads
-        heads[0] = True
-        np.not_equal(seg_ids[1:], seg_ids[:-1], out=heads[1:])
-        heads[1:] |= keys[1:] != keys[:-1]
-        return heads
-
-    return device.execute(
-        "find_subseg_heads", _cost_linear(len(keys), 2.0, 3), body, phase
     )
 
 
@@ -347,45 +287,6 @@ def segmented_reduce_by_key(
 
     return device.execute(
         "segmented_reduce_by_key", _cost_linear(len(keys), 3.0, 5), body, phase
-    )
-
-
-def segmented_argmin(
-    device: Device,
-    values: np.ndarray,
-    seg_ptr: np.ndarray,
-    phase: Optional[str] = None,
-) -> np.ndarray:
-    """Index (global) of the minimum value in each segment; -1 if empty."""
-    values = np.asarray(values)
-    seg_ptr = np.asarray(seg_ptr)
-
-    def body() -> np.ndarray:
-        num_segments = len(seg_ptr) - 1
-        out = np.full(num_segments, -1, dtype=INDEX_DTYPE)
-        lengths = seg_ptr[1:] - seg_ptr[:-1]
-        nonempty = np.flatnonzero(lengths > 0)
-        if len(nonempty) == 0:
-            return out
-        # minimum_reduceat over the start offsets of non-empty segments;
-        # to recover argmin we compare against the per-segment minimum.
-        starts = seg_ptr[:-1][nonempty]
-        mins = np.minimum.reduceat(values, starts)
-        seg_of = np.repeat(np.arange(num_segments, dtype=INDEX_DTYPE), lengths)
-        min_of_elem = np.full(num_segments, np.inf)
-        min_of_elem[nonempty] = mins
-        is_min = values == min_of_elem[seg_of]
-        # first minimal element per segment
-        idx = np.flatnonzero(is_min)
-        segs = seg_of[idx]
-        first = np.full(num_segments, -1, dtype=INDEX_DTYPE)
-        # reversed scatter keeps the *first* occurrence
-        first[segs[::-1]] = idx[::-1]
-        out[nonempty] = first[nonempty]
-        return out
-
-    return device.execute(
-        "segmented_argmin", _cost_linear(len(values), 3.0, 3), body, phase
     )
 
 

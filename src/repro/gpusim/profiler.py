@@ -1,4 +1,4 @@
-"""Kernel- and transfer-level profiling for the simulated device.
+"""Kernel-level profiling for the simulated device.
 
 The profiler feeds the paper's breakdown figures: Figure 10 (per-phase
 runtime shares), Figure 11 (average time per proposal) and Figure 12
@@ -24,19 +24,9 @@ class KernelRecord:
     bytes_moved: int
 
 
-@dataclass(frozen=True)
-class TransferRecord:
-    """Timing record of one host<->device transfer."""
-
-    nbytes: int
-    direction: str  # "h2d" | "d2h"
-    sim_time_s: float
-    phase: str = "unphased"
-
-
 @dataclass
 class PhaseSummary:
-    """Aggregated timings of one phase (kernels plus transfers)."""
+    """Aggregated timings of one phase (or one kernel name)."""
 
     phase: str
     wall_time_s: float = 0.0
@@ -44,96 +34,51 @@ class PhaseSummary:
     num_launches: int = 0
     work_items: int = 0
     bytes_moved: int = 0
-    num_transfers: int = 0
-    transfer_bytes: int = 0
-    transfer_sim_time_s: float = 0.0
 
 
 class Profiler:
-    """Accumulates kernel and transfer records."""
+    """Accumulates kernel records."""
 
     def __init__(self) -> None:
         self.kernel_records: List[KernelRecord] = []
-        self.transfer_records: List[TransferRecord] = []
 
     def record(self, record: KernelRecord) -> None:
         self.kernel_records.append(record)
 
-    def record_transfer(
-        self,
-        nbytes: int,
-        direction: str,
-        sim_time_s: float,
-        phase: str = "unphased",
-    ) -> None:
-        self.transfer_records.append(
-            TransferRecord(
-                nbytes=nbytes, direction=direction,
-                sim_time_s=sim_time_s, phase=phase,
-            )
-        )
-
     def reset(self) -> None:
         self.kernel_records.clear()
-        self.transfer_records.clear()
 
     # ------------------------------------------------------------------
     # aggregation
     # ------------------------------------------------------------------
-    def by_phase(self) -> Dict[str, PhaseSummary]:
-        """Aggregate kernel *and transfer* records per phase label.
-
-        Transfers contribute their simulated PCIe time to the phase's
-        ``sim_time_s`` (and the dedicated ``transfer_*`` fields), so
-        H2D/D2H traffic is visible in per-phase breakdowns instead of
-        silently vanishing from them.
-        """
+    def _aggregate(self, key: str) -> Dict[str, PhaseSummary]:
         summaries: Dict[str, PhaseSummary] = {}
         for rec in self.kernel_records:
-            summary = summaries.setdefault(rec.phase, PhaseSummary(phase=rec.phase))
+            label = getattr(rec, key)
+            summary = summaries.setdefault(label, PhaseSummary(phase=label))
             summary.wall_time_s += rec.wall_time_s
             summary.sim_time_s += rec.sim_time_s
             summary.num_launches += 1
             summary.work_items += rec.work_items
             summary.bytes_moved += rec.bytes_moved
-        for xfer in self.transfer_records:
-            summary = summaries.setdefault(
-                xfer.phase, PhaseSummary(phase=xfer.phase)
-            )
-            summary.sim_time_s += xfer.sim_time_s
-            summary.num_transfers += 1
-            summary.transfer_bytes += xfer.nbytes
-            summary.transfer_sim_time_s += xfer.sim_time_s
         return summaries
+
+    def by_phase(self) -> Dict[str, PhaseSummary]:
+        """Aggregate kernel records per phase label."""
+        return self._aggregate("phase")
 
     def by_kernel(self) -> Dict[str, PhaseSummary]:
         """Aggregate kernel records per kernel name."""
-        summaries: Dict[str, PhaseSummary] = {}
-        for rec in self.kernel_records:
-            summary = summaries.setdefault(rec.name, PhaseSummary(phase=rec.name))
-            summary.wall_time_s += rec.wall_time_s
-            summary.sim_time_s += rec.sim_time_s
-            summary.num_launches += 1
-            summary.work_items += rec.work_items
-            summary.bytes_moved += rec.bytes_moved
-        return summaries
+        return self._aggregate("name")
 
     def total_wall_time_s(self) -> float:
         return sum(r.wall_time_s for r in self.kernel_records)
 
     def total_sim_time_s(self) -> float:
-        kernels = sum(r.sim_time_s for r in self.kernel_records)
-        transfers = sum(r.sim_time_s for r in self.transfer_records)
-        return kernels + transfers
-
-    def total_transferred_bytes(self) -> int:
-        return sum(r.nbytes for r in self.transfer_records)
+        return sum(r.sim_time_s for r in self.kernel_records)
 
     def phase_shares(self, clock: str = "wall") -> Dict[str, float]:
-        """Fraction of total time per phase, on the chosen clock.
-
-        Used directly by the Figure-10 bench.
-        """
+        """Fraction of total time per phase, on the chosen clock."""
         if clock not in ("wall", "sim"):
             raise ValueError(f"clock must be 'wall' or 'sim', got {clock!r}")
         attr = "wall_time_s" if clock == "wall" else "sim_time_s"
@@ -151,10 +96,7 @@ class Profiler:
 
     def snapshot(self) -> "ProfilerSnapshot":
         """Freeze current totals (cheap; used to diff around a phase)."""
-        return ProfilerSnapshot(
-            num_kernels=len(self.kernel_records),
-            num_transfers=len(self.transfer_records),
-        )
+        return ProfilerSnapshot(num_kernels=len(self.kernel_records))
 
     def records_since(self, snapshot: "ProfilerSnapshot") -> List[KernelRecord]:
         return self.kernel_records[snapshot.num_kernels :]
@@ -162,7 +104,6 @@ class Profiler:
 
 @dataclass(frozen=True)
 class ProfilerSnapshot:
-    """Marker into a profiler's record streams."""
+    """Marker into a profiler's kernel records."""
 
     num_kernels: int
-    num_transfers: int

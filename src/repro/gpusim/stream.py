@@ -1,32 +1,21 @@
-"""Streams and events for the simulated device.
+"""Streams for the simulated device.
 
 Real GSAP overlaps the three cuRAND table builds on concurrent streams
 (paper Fig. 4).  The simulated device executes kernels eagerly, but
 streams still model the *timeline*: each stream tracks its own simulated
-completion time, concurrent streams overlap, and
-:meth:`Device`-level synchronization takes the max across streams.  This
-is what lets the cost model credit GSAP for the overlapped table builds.
+completion time, concurrent streams overlap, and :func:`overlap_time_s`
+takes the max across streams.  This is what lets the cost model credit
+GSAP for the overlapped table builds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional, TypeVar
 
 from ..errors import DeviceError
 from .device import Device, KernelCost, get_default_device
 
 T = TypeVar("T")
-
-
-@dataclass
-class Event:
-    """A point on a stream's simulated timeline."""
-
-    timestamp_s: float
-
-    def elapsed_since(self, earlier: "Event") -> float:
-        return self.timestamp_s - earlier.timestamp_s
 
 
 class Stream:
@@ -48,33 +37,18 @@ class Stream:
         body: Callable[[], T],
         phase: Optional[str] = None,
     ) -> T:
-        """Execute *body* on this stream, advancing its timeline."""
+        """Execute *body* on this stream, advancing its timeline.
+
+        Work on a stream starts when the stream's previous work has
+        finished; it overlaps the work of other streams.
+        """
         injector = getattr(self.device, "fault_injector", None)
         if injector is not None:
             injector.on_stream_launch(name, phase)
         before = self.device.sim_time_s
         result = self.device.execute(name, cost, body, phase=phase)
-        duration = self.device.sim_time_s - before
-        self._completion_time_s = max(
-            self._completion_time_s, self._start_floor()
-        ) + duration
+        self._completion_time_s += self.device.sim_time_s - before
         return result
-
-    def _start_floor(self) -> float:
-        # Work on a stream cannot start before previously-enqueued work on
-        # the same stream has completed; it *can* overlap other streams.
-        return self._completion_time_s
-
-    def record_event(self) -> Event:
-        return Event(timestamp_s=self._completion_time_s)
-
-    def wait_event(self, event: Event) -> None:
-        """Order this stream's subsequent work after *event*."""
-        self._completion_time_s = max(self._completion_time_s, event.timestamp_s)
-
-    def synchronize(self) -> float:
-        """Return this stream's completion time (no host blocking to model)."""
-        return self._completion_time_s
 
 
 def overlap_time_s(*streams: Stream) -> float:

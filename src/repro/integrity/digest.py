@@ -49,8 +49,9 @@ def graph_sha256(graph) -> str:
 def crc32_frame(data: bytes) -> int:
     """CRC32 checksum of one message frame (header + payload).
 
-    The same integrity primitive the checksummed device buffers use,
-    reused by :mod:`repro.dist.message` so a frame corrupted on the
+    The same CRC32 the integrity manager's shadow digests use
+    (:func:`repro.gpusim.buffer_digest`), reused by
+    :mod:`repro.dist.message` so a frame corrupted on the
     simulated wire is detected at decode time rather than silently
     applied to a blockmodel replica.
     """

@@ -141,8 +141,6 @@ class IntegrityManager:
         self.obs = obs if obs is not None else NULL_OBS
         self.restore_assignment = restore_assignment
         self.stats = IntegrityStats()
-        if config.track_device_digests:
-            device.track_digests = True
         self._sites_seen = 0
         self._shadow_bmap: Optional[np.ndarray] = None
         self._shadow_num_blocks: int = 0

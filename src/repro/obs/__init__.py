@@ -3,7 +3,7 @@
 The subsystem has four layers (see docs/observability.md):
 
 * :mod:`repro.obs.trace` — span-based tracer (run → plateau → phase →
-  kernel/transfer), zero overhead when disabled;
+  kernel), zero overhead when disabled;
 * :mod:`repro.obs.metrics` — counters, gauges, histograms and series
   covering MCMC convergence telemetry and resilience events;
 * :mod:`repro.obs.export` — Chrome trace-event JSON (Perfetto-loadable),

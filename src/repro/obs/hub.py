@@ -77,11 +77,11 @@ class Observability:
 
     @contextmanager
     def attach_device(self, device) -> Iterator[None]:
-        """Bridge a device's kernel/transfer records into this tracer.
+        """Bridge a device's kernel launches into this tracer.
 
         Sets ``device.tracer`` for the duration of the block (restoring
-        the previous tracer after), so kernel launches and PCIe
-        transfers appear as leaf spans under the active phase span.
+        the previous tracer after), so kernel launches appear as leaf
+        spans under the active phase span.
         """
         if not self.enabled or not self.config.trace_kernels:
             yield

@@ -13,7 +13,7 @@ captured data:
 * Fig. 11's per-proposal averages and the Fig. 12 blockmodel-update
   share of the vertex-move phase;
 * MCMC acceptance rate and ΔMDL quantiles when metrics were captured;
-* kernel and transfer tables from the device profiler;
+* kernel and per-phase tables from the device profiler;
 * what the resilience subsystem absorbed.
 
 :func:`run_report_markdown` renders the same dictionary as Markdown;
@@ -158,8 +158,6 @@ def build_run_report(
                 "wall_time_s": s.wall_time_s,
                 "sim_time_s": s.sim_time_s,
                 "launches": s.num_launches,
-                "transfers": s.num_transfers,
-                "transfer_bytes": s.transfer_bytes,
             }
             for phase, s in sorted(profiler.by_phase().items())
         }

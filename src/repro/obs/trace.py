@@ -1,7 +1,7 @@
 """Span-based tracing: nested timed regions of a partitioning run.
 
 A :class:`Tracer` records :class:`Span` objects forming a tree —
-run → plateau → phase → kernel/transfer — with wall-clock timestamps
+run → plateau → phase → kernel — with wall-clock timestamps
 relative to the tracer's epoch.  Spans are opened with the
 context-manager API (:meth:`Tracer.span`) or, for pre-measured regions
 such as the simulated device's kernel launches, appended whole with
@@ -44,7 +44,7 @@ class Span:
     ----------
     name / category:
         Display name and grouping label (``run`` / ``plateau`` /
-        ``phase`` / ``sweep`` / ``kernel`` / ``transfer`` / ...).
+        ``phase`` / ``sweep`` / ``kernel`` / ...).
     start_s:
         Seconds since the tracer epoch.
     duration_s:

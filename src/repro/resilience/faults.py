@@ -1,7 +1,7 @@
 """Deterministic fault injection for the simulated device stack.
 
 Long SBP runs die to transient device faults — OOMs, failed kernel
-launches, stalled transfers, broken streams.  This module lets tests and
+launches, broken streams.  This module lets tests and
 chaos runs trigger those faults *deterministically*: a :class:`FaultPlan`
 names which operation index of which fault class should fail, a
 :class:`FaultInjector` installed on a :class:`~repro.gpusim.device.Device`
@@ -14,13 +14,10 @@ Fault classes
 -------------
 ``oom``
     Raises :class:`InjectedMemoryFault` (a ``DeviceMemoryError``) from
-    ``Device.allocate`` or from kernels moving at least ``min_bytes``.
+    ``Device.execute`` for kernels moving at least ``min_bytes``.
 ``kernel``
     Raises :class:`InjectedKernelFault` (a ``KernelLaunchError``) from
     ``Device.execute``.
-``transfer_stall``
-    Does not raise; adds ``stall_s`` simulated seconds to a host<->device
-    transfer (the run absorbs it, the sim clock shows it).
 ``stream``
     Raises :class:`InjectedStreamFault` (a ``DeviceError``) from
     ``Stream.launch``.
@@ -78,7 +75,6 @@ PathLike = Union[str, os.PathLike]
 FAULT_KINDS = (
     "oom",
     "kernel",
-    "transfer_stall",
     "stream",
     "bitflip",
     "value_corrupt",
@@ -130,14 +126,11 @@ class FaultSpec:
         large count to model a persistent fault.
     phase:
         Only operations tagged with this phase increment the counter and
-        can fire (``None`` matches every phase).  ``oom`` faults on bare
-        allocations (no phase) only match specs with ``phase=None``.
+        can fire (``None`` matches every phase).
     min_bytes:
-        For ``oom``: only allocations / kernels moving at least this many
-        bytes can fire.  This is what makes batch-halving degradation
-        *actually* clear the fault — smaller batches move fewer bytes.
-    stall_s:
-        For ``transfer_stall``: simulated seconds added to the transfer.
+        For ``oom``: only kernels moving at least this many bytes can
+        fire.  This is what makes batch-halving degradation *actually*
+        clear the fault — smaller batches move fewer bytes.
     target:
         For corruption kinds: only structures exposed under this tag
         (e.g. ``"csr_out_wgt"``, ``"bmap"``) increment the counter and
@@ -165,7 +158,6 @@ class FaultSpec:
     count: int = 1
     phase: Optional[str] = None
     min_bytes: int = 0
-    stall_s: float = 0.0
     target: Optional[str] = None
     index: int = 0
     bit: int = 0
@@ -182,8 +174,8 @@ class FaultSpec:
                 f"fault spec needs at >= 0 and count >= 1, got at={self.at} "
                 f"count={self.count}"
             )
-        if self.min_bytes < 0 or self.stall_s < 0:
-            raise ReproError("min_bytes and stall_s must be non-negative")
+        if self.min_bytes < 0:
+            raise ReproError(f"min_bytes must be >= 0, got {self.min_bytes}")
         if self.index < 0:
             raise ReproError(f"corruption index must be >= 0, got {self.index}")
         if not 0 <= self.bit < 64:
@@ -200,7 +192,6 @@ class FaultSpec:
             "count": self.count,
             "phase": self.phase,
             "min_bytes": self.min_bytes,
-            "stall_s": self.stall_s,
             "target": self.target,
             "index": self.index,
             "bit": self.bit,
@@ -217,7 +208,6 @@ class FaultSpec:
                 count=int(payload.get("count", 1)),
                 phase=payload.get("phase"),
                 min_bytes=int(payload.get("min_bytes", 0)),
-                stall_s=float(payload.get("stall_s", 0.0)),
                 target=payload.get("target"),
                 index=int(payload.get("index", 0)),
                 bit=int(payload.get("bit", 0)),
@@ -290,7 +280,6 @@ class FaultPlan:
                 at=int(rng.integers(0, max_index)),
                 count=int(rng.integers(1, 3)),
                 phase=phase,
-                stall_s=0.01 if kind == "transfer_stall" else 0.0,
             )
             faults.append(spec)
         return cls(faults=tuple(faults), seed=seed)
@@ -311,7 +300,7 @@ class FaultInjector:
 
     Install with :func:`install_fault_injector` (or assign to
     ``device.fault_injector``); the device and stream layers consult it
-    on every allocation, kernel launch, and transfer.
+    on every kernel launch.
     """
 
     def __init__(self, plan: FaultPlan) -> None:
@@ -369,16 +358,6 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # hooks called by the device layers
     # ------------------------------------------------------------------
-    def on_allocate(self, nbytes: int) -> None:
-        """Called by ``Device.allocate`` before reserving memory."""
-        for spec, index in self._tick("oom", None):
-            if nbytes < spec.min_bytes:
-                continue
-            self._record(spec, index, None, f"allocate {nbytes} B")
-            raise InjectedMemoryFault(
-                f"injected OOM at allocation #{index} ({nbytes} bytes)"
-            )
-
     def on_kernel(self, name: str, phase: Optional[str], nbytes: int) -> None:
         """Called by ``Device.execute`` before running a kernel body."""
         for kind in ("kernel", "oom"):
@@ -394,16 +373,6 @@ class FaultInjector:
                 raise InjectedKernelFault(
                     f"injected launch failure at kernel #{index} {name!r}"
                 )
-
-    def on_transfer(self, nbytes: int, direction: str) -> float:
-        """Called by ``Device.charge_transfer``; returns extra stall seconds."""
-        stall = 0.0
-        for spec, index in self._tick("transfer_stall", None):
-            stall += spec.stall_s
-            self._record(
-                spec, index, None, f"{direction} {nbytes} B stalled {spec.stall_s}s"
-            )
-        return stall
 
     def on_stream_launch(self, name: str, phase: Optional[str]) -> None:
         """Called by ``Stream.launch`` before enqueueing a kernel."""

@@ -5,6 +5,7 @@ import pytest
 
 from repro.blockmodel.dense import DenseBlockmodel
 from repro.blockmodel.entropy import description_length
+from repro.blockmodel.update import UPDATE_PHASE
 from repro.config import SBPConfig
 from repro.core.partitioner import GSAPPartitioner, partition_graph
 from repro.graph.builder import build_graph
@@ -92,6 +93,14 @@ class TestFullRun:
         _, _, result, device = lowlow_result
         assert result.sim_time_s > 0
         assert result.sim_time_s <= device.sim_time_s
+
+    def test_rebuilds_charged_to_update_phase(self, lowlow_result):
+        """Algorithm 2's plateau-start and initial rebuilds run under the
+        update label; merge scoring itself launches no sort."""
+        *_, device = lowlow_result
+        labelled = {(r.phase, r.name) for r in device.profiler.kernel_records}
+        assert ("block_merge", "segmented_sort") not in labelled
+        assert (UPDATE_PHASE, "segmented_sort") in labelled
 
     def test_proposal_stats(self, lowlow_result):
         _, _, result, _ = lowlow_result

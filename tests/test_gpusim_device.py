@@ -1,9 +1,9 @@
-"""Tests for the simulated device: memory accounting, clocks, cost model."""
+"""Tests for the simulated device: clocks, cost model, kernel execution."""
 
 import numpy as np
 import pytest
 
-from repro.errors import DeviceError, DeviceMemoryError, KernelLaunchError
+from repro.errors import KernelLaunchError
 from repro.gpusim.device import (
     A4000,
     TINY_DEVICE,
@@ -16,44 +16,13 @@ from repro.gpusim.device import (
 
 class TestSpec:
     def test_a4000_shape(self):
-        assert A4000.total_cores == 48 * 128
-        assert A4000.memory_bytes == 16 * 1024**3
-        assert A4000.warp_size == 32
+        assert A4000.memory_bandwidth_gbps == 448.0
+        assert A4000.kernel_launch_overhead_s == 5e-6
+        assert A4000.effective_ops_per_s == 2.0e11
 
     def test_tiny_device_is_small(self):
-        assert TINY_DEVICE.memory_bytes < A4000.memory_bytes
-
-
-class TestMemoryAccounting:
-    def test_allocate_and_free(self):
-        dev = Device(TINY_DEVICE)
-        aid = dev.allocate(1024)
-        assert dev.allocated_bytes == 1024
-        dev.free(aid)
-        assert dev.allocated_bytes == 0
-
-    def test_free_idempotent(self):
-        dev = Device(TINY_DEVICE)
-        aid = dev.allocate(10)
-        dev.free(aid)
-        dev.free(aid)
-        assert dev.allocated_bytes == 0
-
-    def test_oom(self):
-        dev = Device(TINY_DEVICE)
-        with pytest.raises(DeviceMemoryError):
-            dev.allocate(TINY_DEVICE.memory_bytes + 1)
-
-    def test_oom_cumulative(self):
-        dev = Device(TINY_DEVICE)
-        dev.allocate(TINY_DEVICE.memory_bytes - 10)
-        with pytest.raises(DeviceMemoryError):
-            dev.allocate(100)
-
-    def test_negative_allocation(self):
-        dev = Device(TINY_DEVICE)
-        with pytest.raises(DeviceError):
-            dev.allocate(-1)
+        assert TINY_DEVICE.memory_bandwidth_gbps < A4000.memory_bandwidth_gbps
+        assert TINY_DEVICE.effective_ops_per_s < A4000.effective_ops_per_s
 
 
 class TestClocks:
@@ -84,21 +53,9 @@ class TestClocks:
         expected = nbytes / (A4000.memory_bandwidth_gbps * 1e9)
         assert dev.sim_time_s >= expected
 
-    def test_transfer_charged(self):
-        dev = Device(A4000)
-        duration = dev.charge_transfer(10**6, "h2d")
-        assert duration > 0
-        assert dev.sim_time_s == pytest.approx(duration)
-
-    def test_transfer_bad_direction(self):
-        dev = Device(A4000)
-        with pytest.raises(DeviceError):
-            dev.charge_transfer(10, "sideways")
-
     def test_reset_clocks(self):
         dev = Device(A4000)
         dev.execute("k", KernelCost(work_items=10), lambda: None)
-        dev.charge_transfer(10, "d2h")
         dev.reset_clocks()
         assert dev.sim_time_s == 0.0
         assert dev.profiler.launch_count() == 0

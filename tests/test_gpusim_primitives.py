@@ -79,10 +79,6 @@ class TestSortByKey:
         with pytest.raises(DeviceError):
             prim.sort_by_key(dev, np.array([1, 2]), np.array([1]))
 
-    def test_argsort(self, dev):
-        perm = prim.argsort_by_key(dev, np.array([5, 1, 3]))
-        np.testing.assert_array_equal(perm, [1, 2, 0])
-
 
 class TestSegmentedSort:
     def test_sorts_within_segments_only(self, dev):
@@ -211,32 +207,8 @@ def test_segmented_sort_permutation_equals_lexsort(rows):
 
 
 # ----------------------------------------------------------------------
-# segment utilities
+# reductions
 # ----------------------------------------------------------------------
-class TestSegmentIds:
-    def test_expand(self, dev):
-        out = prim.segment_ids_from_ptr(dev, np.array([0, 2, 2, 5]))
-        np.testing.assert_array_equal(out, [0, 0, 2, 2, 2])
-
-    def test_empty(self, dev):
-        out = prim.segment_ids_from_ptr(dev, np.array([0]))
-        assert len(out) == 0
-
-
-class TestFindSubsegmentHeads:
-    def test_heads(self, dev):
-        seg = np.array([0, 0, 0, 1, 1])
-        keys = np.array([2, 2, 3, 3, 3])
-        heads = prim.find_subsegment_heads(dev, seg, keys)
-        np.testing.assert_array_equal(heads, [True, False, True, True, False])
-
-    def test_empty(self, dev):
-        heads = prim.find_subsegment_heads(
-            dev, np.array([], dtype=int), np.array([], dtype=int)
-        )
-        assert len(heads) == 0
-
-
 class TestSegmentedReduceSum:
     def test_with_empty_segments(self, dev):
         out = prim.segmented_reduce_sum(
@@ -303,23 +275,6 @@ def test_segmented_reduce_by_key_matches_dict_oracle(rows):
         oracle[(a, b)] = oracle.get((a, b), 0) + c
     got = dict(zip(zip(s.tolist(), k.tolist()), v.tolist()))
     assert got == oracle
-
-
-class TestSegmentedArgmin:
-    def test_basic(self, dev):
-        vals = np.array([5.0, 1.0, 3.0, 2.0, 4.0])
-        out = prim.segmented_argmin(dev, vals, np.array([0, 3, 5]))
-        np.testing.assert_array_equal(out, [1, 3])
-
-    def test_empty_segments_get_minus_one(self, dev):
-        vals = np.array([2.0])
-        out = prim.segmented_argmin(dev, vals, np.array([0, 0, 1, 1]))
-        np.testing.assert_array_equal(out, [-1, 0, -1])
-
-    def test_first_of_ties(self, dev):
-        vals = np.array([1.0, 1.0, 1.0])
-        out = prim.segmented_argmin(dev, vals, np.array([0, 3]))
-        np.testing.assert_array_equal(out, [0])
 
 
 class TestBincount:

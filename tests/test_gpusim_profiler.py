@@ -21,17 +21,9 @@ class TestAccumulation:
         assert p.total_sim_time_s() == pytest.approx(1.0)
         assert p.launch_count() == 2
 
-    def test_transfers_in_sim_total(self):
-        p = Profiler()
-        p.record(record(sim=1.0))
-        p.record_transfer(100, "h2d", 0.5)
-        assert p.total_sim_time_s() == pytest.approx(1.5)
-        assert p.total_transferred_bytes() == 100
-
     def test_reset(self):
         p = Profiler()
         p.record(record())
-        p.record_transfer(10, "d2h", 0.1)
         p.reset()
         assert p.launch_count() == 0
         assert p.total_sim_time_s() == 0.0

@@ -1,65 +1,10 @@
-"""Tests for streams/events and the kernel-launch abstraction."""
+"""Tests for simulated-device streams."""
 
-import numpy as np
 import pytest
 
-from repro.errors import DeviceError, KernelLaunchError
-from repro.gpusim.device import A4000, Device, KernelCost
-from repro.gpusim.kernels import (
-    DEFAULT_BLOCK_DIM,
-    launch,
-    launch_geometry,
-)
+from repro.errors import DeviceError
+from repro.gpusim.device import KernelCost
 from repro.gpusim.stream import Stream, overlap_time_s
-
-
-class TestLaunchGeometry:
-    def test_exact_multiple(self):
-        info = launch_geometry(512, 256)
-        assert info.grid_dim == 2 and info.block_dim == 256
-
-    def test_rounds_up(self):
-        assert launch_geometry(513, 256).grid_dim == 3
-
-    def test_zero_threads(self):
-        assert launch_geometry(0).grid_dim == 1
-
-    def test_negative_threads(self):
-        with pytest.raises(KernelLaunchError):
-            launch_geometry(-1)
-
-    @pytest.mark.parametrize("block", [0, 1025])
-    def test_bad_block_dim(self, block):
-        with pytest.raises(KernelLaunchError):
-            launch_geometry(10, block)
-
-
-class TestLaunch:
-    def test_body_gets_thread_ids(self, device):
-        seen = {}
-        launch(device, "k", 7, lambda tid: seen.setdefault("tid", tid))
-        np.testing.assert_array_equal(seen["tid"], np.arange(7))
-
-    def test_zero_threads_skips_body(self, device):
-        called = []
-        launch(device, "k", 0, lambda tid: called.append(1))
-        assert not called
-
-    def test_side_effects_applied(self, device):
-        out = np.zeros(8, dtype=np.int64)
-
-        def body(tid):
-            out[tid] = tid * 2
-
-        launch(device, "double", 8, body)
-        np.testing.assert_array_equal(out, np.arange(8) * 2)
-
-    def test_profiled(self, device):
-        launch(device, "named_kernel", 4, lambda tid: None, phase="p")
-        rec = device.profiler.kernel_records[-1]
-        assert rec.name == "named_kernel"
-        assert rec.phase == "p"
-        assert rec.work_items == 4
 
 
 class TestStream:
@@ -86,25 +31,6 @@ class TestStream:
         assert overlap_time_s(s1, s2, s3) == max(
             s1.completion_time_s, s2.completion_time_s, s3.completion_time_s
         )
-
-    def test_events_order_across_streams(self, device):
-        s1, s2 = Stream(device), Stream(device)
-        s1.launch("k", KernelCost(10**6), lambda: None)
-        event = s1.record_event()
-        s2.wait_event(event)
-        assert s2.completion_time_s >= event.timestamp_s
-
-    def test_event_elapsed(self, device):
-        s = Stream(device)
-        e1 = s.record_event()
-        s.launch("k", KernelCost(10**6), lambda: None)
-        e2 = s.record_event()
-        assert e2.elapsed_since(e1) > 0
-
-    def test_synchronize_returns_completion(self, device):
-        s = Stream(device)
-        s.launch("k", KernelCost(10), lambda: None)
-        assert s.synchronize() == s.completion_time_s
 
     def test_overlap_requires_streams(self):
         with pytest.raises(DeviceError):

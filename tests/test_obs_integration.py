@@ -1,6 +1,6 @@
 """End-to-end observability tests: span hierarchy of a real run,
 counter agreement with phase outcomes, determinism, checkpoint
-survival, device bridging, and transfer phase attribution."""
+survival, and device bridging."""
 
 import json
 
@@ -11,7 +11,6 @@ from repro.blockmodel.update import rebuild_blockmodel
 from repro.core.partitioner import GSAPPartitioner
 from repro.core.vertex_move import run_vertex_move_phase
 from repro.gpusim.device import A4000, Device, KernelCost
-from repro.gpusim.profiler import Profiler
 from repro.obs import Observability
 from repro.types import INDEX_DTYPE
 
@@ -201,62 +200,6 @@ class TestDeviceBridge:
         with obs.attach_device(device):
             assert device.tracer is obs.tracer
         assert device.tracer is None
-
-    def test_transfer_spans_carry_phase(self, device):
-        obs = Observability(enabled=True)
-        with obs.attach_device(device):
-            with device.phase("vertex_move"):
-                device.charge_transfer(1024, "h2d")
-        (span,) = obs.tracer.spans()
-        assert span.category == "transfer"
-        assert span.name == "h2d"
-        assert span.args["phase"] == "vertex_move"
-        assert span.args["nbytes"] == 1024
-
-
-class TestTransferPhaseAttribution:
-    """Satellite fix: transfers are attributed to the active phase and
-    folded into the per-phase profiler summaries."""
-
-    def test_record_transfer_carries_phase(self):
-        p = Profiler()
-        p.record_transfer(100, "h2d", 0.5, "vertex_move")
-        assert p.transfer_records[0].phase == "vertex_move"
-
-    def test_positional_compat_defaults_to_unphased(self):
-        p = Profiler()
-        p.record_transfer(100, "h2d", 0.5)
-        assert p.transfer_records[0].phase == "unphased"
-
-    def test_by_phase_includes_transfers(self):
-        from repro.gpusim.profiler import KernelRecord
-
-        p = Profiler()
-        p.record(KernelRecord(name="k", phase="vertex_move", wall_time_s=1.0,
-                              sim_time_s=0.25, work_items=10, bytes_moved=80))
-        p.record_transfer(200, "h2d", 0.5, "vertex_move")
-        p.record_transfer(50, "d2h", 0.1, "block_merge")
-        phases = p.by_phase()
-        vm = phases["vertex_move"]
-        assert vm.num_transfers == 1
-        assert vm.transfer_bytes == 200
-        assert vm.sim_time_s == pytest.approx(0.75)
-        bm = phases["block_merge"]
-        assert bm.num_launches == 0
-        assert bm.transfer_bytes == 50
-
-    def test_device_active_phase_attributes_transfers(self, device):
-        device.execute("k", KernelCost(work_items=8),
-                       lambda: device.charge_transfer(64, "h2d"),
-                       phase="block_merge")
-        assert device.profiler.transfer_records[0].phase == "block_merge"
-
-    def test_device_phase_context_manager(self, device):
-        with device.phase("golden_section"):
-            device.charge_transfer(32, "d2h")
-        device.charge_transfer(32, "d2h")
-        phases = [t.phase for t in device.profiler.transfer_records]
-        assert phases == ["golden_section", "unphased"]
 
 
 class TestCli:

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.blockmodel.update import UPDATE_PHASE
+from repro.core import streaming
 from repro.core.streaming import StreamingGSAP, _assign_new_vertices
 from repro.errors import ConfigError, PartitionError
 from repro.graph.builder import build_graph
@@ -13,6 +15,7 @@ from repro.graph.streaming import (
     snowball_stream,
 )
 from repro.config import SBPConfig
+from repro.gpusim.device import A4000, Device
 from repro.metrics import nmi
 
 
@@ -162,6 +165,28 @@ class TestStreamingGSAP:
         for r in results:
             assert len(r.partition) == graph.num_vertices
             assert r.partition.min() >= 0
+
+    def test_stage_rebuild_charged_to_update_phase(self, stream_graph,
+                                                   monkeypatch):
+        graph, _ = stream_graph
+        device = Device(A4000)
+        phases = []
+        rebuild = streaming.rebuild_blockmodel
+
+        def spy(*args, **kwargs):
+            first = device.profiler.launch_count()
+            blockmodel = rebuild(*args, **kwargs)
+            phases.extend(
+                r.phase for r in device.profiler.kernel_records[first:]
+            )
+            return blockmodel
+
+        monkeypatch.setattr(streaming, "rebuild_blockmodel", spy)
+        config = SBPConfig(max_num_nodal_itr=5, seed=3)
+        StreamingGSAP(config, device=device, research_interval=3).partition_stream(
+            edge_sample_stream(graph, 3, seed=1), graph.num_vertices
+        )
+        assert phases and set(phases) == {UPDATE_PHASE}
 
     def test_invalid_interval(self):
         with pytest.raises(PartitionError):
