@@ -9,10 +9,10 @@ install:
 	pip install -e . || python setup.py develop
 
 test:
-	pytest tests/
+	PYTHONPATH=src pytest tests/
 
 test-fast:
-	pytest tests/ -m "not slow"
+	PYTHONPATH=src pytest tests/ -m "not slow"
 
 # byte-identity and ΔMDL oracles: golden partitions, dense-vs-batched
 # deltas, Hastings correction, incremental-vs-rebuild blockmodels,
@@ -36,13 +36,13 @@ test-quality:
 	PYTHONPATH=src python benchmarks/quality_gate.py check
 
 test-faults:
-	pytest tests/ -m faults
+	PYTHONPATH=src pytest tests/ -m faults
 
 test-dist:
-	pytest tests/ -m dist
+	PYTHONPATH=src pytest tests/ -m dist
 
 test-integrity:
-	pytest tests/test_integrity.py
+	PYTHONPATH=src pytest tests/test_integrity.py
 
 # deterministic service load test: overload + faults + checkpoint
 # shutdown; fails if any accepted job is lost or shutdown is unclean
@@ -56,13 +56,13 @@ obs-smoke:
 	PYTHONPATH=src python benchmarks/obs_smoke.py
 
 bench:
-	pytest benchmarks/ --benchmark-only
+	PYTHONPATH=src pytest benchmarks/ --benchmark-only
 
 bench-incremental:
-	pytest benchmarks/bench_ablation_incremental.py --benchmark-only
+	PYTHONPATH=src pytest benchmarks/bench_ablation_incremental.py --benchmark-only
 
 bench-paper:
-	GSAP_BENCH_SCALE=paper pytest benchmarks/ --benchmark-only
+	GSAP_BENCH_SCALE=paper PYTHONPATH=src pytest benchmarks/ --benchmark-only
 
 # record a fresh quick-scale baseline (commit the record + trajectory)
 perf-baseline:

@@ -2,8 +2,8 @@
 
 The reference, uSAP, I-SBP and every EDiSt rank propose moves vertex by
 vertex with the CPU rule, then score the batch in one pass against the
-blockmodel frozen at batch start (:func:`score_moves`, on the host bodies
-GSAP's vertex-move kernels run) and apply the accepted moves in place
+blockmodel frozen at batch start (:func:`score_moves`, on the host body
+of GSAP's vertex-move scoring kernel) and apply the accepted moves in place
 (:func:`apply_moves`).  A batch of one is the serial MCMC chain.  The
 acceptance uniform is drawn right after its proposal, only when
 ``s != r``, so the random stream is that of the per-vertex MH rule.
@@ -17,9 +17,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..blockmodel.delta import VertexNeighborhood, move_delta_cells
+from ..blockmodel.delta import VertexNeighborhood, move_delta_hastings
 from ..blockmodel.dense import DenseBlockmodel
-from ..core.mh import hastings_ratio
 from ..core.vertex_move import move_context
 from ..graph.csr import DiGraphCSR
 from ..types import FLOAT_DTYPE, INDEX_DTYPE
@@ -135,8 +134,7 @@ def score_moves(
     if not moving.any():
         return [], proposal_time
     ctx = dataclasses.replace(ctx, s=s_all)
-    delta = move_delta_cells(model, ctx)
-    hastings = hastings_ratio(model, ctx)
+    delta, hastings = move_delta_hastings(model, ctx)
     exponent = np.clip(-beta * delta, -700.0, 700.0)
     accept = moving & (u < np.minimum(1.0, np.exp(exponent) * hastings))
     moves = zip(vertices[accept].tolist(), ctx.r[accept].tolist(),

@@ -12,16 +12,19 @@ Two implementations live here:
 * ``*_dense`` — straightforward formulas over whole rows and columns
   of a :class:`DenseBlockmodel`; they are the oracles of the tests and
   no engine calls them;
-* ``*_cells`` / ``*_batch`` — the formulation every engine runs.  Both
+* :func:`merge_delta_cells` and :func:`move_delta_hastings`, with their
+  ``*_batch`` launchers — the formulation every engine runs.  Both
   evaluate the data term's split ``Σ g(M) − Σ g(d_out) − Σ g(d_in)``
   over only the cells a proposal changes, in one launch per batch: a
   vertex move touches about ``deg(v)`` cells plus the degrees of ``r``
   and ``s``; a merge of ``a`` and ``c`` touches the cells where both
   rows (or both columns) are nonzero, the ``{a,c}×{a,c}`` corner and
-  the two degree pairs.  GSAP launches them on the simulated device;
-  the CPU baselines call the host bodies directly —
-  :func:`move_delta_cells` on their :class:`DenseBlockmodel` replicas,
-  :func:`merge_delta_cells` once per merge round on a CSR view of them.
+  the two degree pairs.  The move body returns each mover's Hastings
+  correction with its ΔS, read off the same cell lookups.  GSAP
+  launches them on the simulated device; the CPU baselines call the
+  host bodies directly — :func:`move_delta_hastings` on their
+  :class:`DenseBlockmodel` replicas, :func:`merge_delta_cells` once per
+  merge round on a CSR view of them.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ __all__ = [
     "merge_delta_batch",
     "merge_delta_cells",
     "move_delta_batch",
-    "move_delta_cells",
+    "move_delta_hastings",
 ]
 
 
@@ -260,7 +263,7 @@ def merge_delta_cells(
     """ΔS for a batch of merge proposals ``r[i] → s[i]`` (Eqs. 4-6).
 
     With the data term split as ``P = Σ_ij g(M_ij) − Σ_i g(d_out_i) −
-    Σ_j g(d_in_j)``, ``g(x) = x·ln x`` (see :func:`move_delta_cells`),
+    Σ_j g(d_in_j)``, ``g(x) = x·ln x`` (see :func:`move_delta_hastings`),
     merging blocks ``a`` and ``c`` adds rows ``a``, ``c`` and columns
     ``a``, ``c`` cell by cell, so ``ΔP`` is a sum of
     ``g(x + y) − g(x) − g(y)`` over
@@ -370,8 +373,10 @@ class MoveDeltaContext:
 
     Built by :func:`repro.core.vertex_move.move_context`; segment
     ``i`` of the k-arrays holds mover ``i``'s out-(in-)edge weight per
-    *unique* neighbouring block, self-loops excluded and carried in
-    :attr:`self_w`.
+    *unique* neighbouring block, blocks ascending, self-loops excluded
+    and carried in :attr:`self_w`.  :attr:`kin_at_out` holds, per
+    out-entry, the mover's in-weight at the same block (0 where it has
+    none), and :attr:`kout_at_in` the reverse.
     """
 
     r: np.ndarray  # current block per mover
@@ -382,6 +387,8 @@ class MoveDeltaContext:
     kin_ptr: np.ndarray
     kin_blk: np.ndarray
     kin_w: np.ndarray
+    kin_at_out: np.ndarray
+    kout_at_in: np.ndarray
     self_w: np.ndarray
     d_out_v: np.ndarray  # total out-degree of each mover (incl. self)
     d_in_v: np.ndarray
@@ -391,28 +398,40 @@ class MoveDeltaContext:
         return len(self.r)
 
 
-def move_delta_cells(
+def move_delta_hastings(
     bm: Union[BlockmodelCSR, DenseBlockmodel], ctx: MoveDeltaContext
-) -> np.ndarray:
-    """ΔS for a batch of vertex moves (paper Eq. 7), one value per mover.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(ΔS, H)`` per mover for a batch of vertex moves, in one pass.
 
-    The data term splits as ``P = Σ_ij g(M_ij) − Σ_i g(d_out_i) −
-    Σ_j g(d_in_j)`` with ``g(x) = x·ln x``, so a move's ΔS needs only
-    the cells it changes plus the degree terms at ``r`` and ``s`` — the
-    O(k) move evaluation of Peixoto's DC-SBM MCMC.  Per mover those
-    cells are ``M[r,t]``/``M[s,t]`` for every out-block ``t ∉ {r,s}``,
-    ``M[t,r]``/``M[t,s]`` for every in-block ``t ∉ {r,s}`` and the four
-    corners ``{r,s}×{r,s}``; all of them are looked up and summed in one
-    pass.  Movers with ``r == s`` get ΔS = 0.  All movers are evaluated
-    against the same frozen blockmodel — the asynchronous-Gibbs
-    semantics of the vertex-move phase.
+    ΔS is paper Eq. 7.  The data term splits as ``P = Σ_ij g(M_ij) −
+    Σ_i g(d_out_i) − Σ_j g(d_in_j)`` with ``g(x) = x·ln x``, so a move's
+    ΔS needs only the cells it changes plus the degree terms at ``r``
+    and ``s`` — the O(k) move evaluation of Peixoto's DC-SBM MCMC.  Per
+    mover those cells are ``M[r,t]``/``M[s,t]`` for every out-block
+    ``t ∉ {r,s}``, ``M[t,r]``/``M[t,s]`` for every in-block ``t ∉
+    {r,s}`` and the four corners ``{r,s}×{r,s}``.
+
+    H is the Hastings correction ``p_backward / p_forward`` of
+    :mod:`repro.core.mh`, summed over the union of the mover's out- and
+    in-entries (self-loop weight excluded, as in the reference
+    implementation); the backward term reads the post-move cells
+    ``M'[r,t]``, ``M'[t,r]`` and degrees ``d'[t]``.
+
+    Both come from one lookup: ``M[r,t]``, ``M[s,t]``, ``M[t,r]`` and
+    ``M[t,s]`` for every (mover, t) entry, and the four corners per
+    mover; ΔS takes its subset of those cells.  Movers with ``r == s``
+    get ΔS = 0 and H = 1, and so does a mover with no non-self
+    neighbours.  All movers are evaluated against the same frozen
+    blockmodel — the asynchronous-Gibbs semantics of the vertex-move
+    phase.
 
     This is the host body of :func:`move_delta_batch`; it needs only
-    ``bm.lookup`` and the degree arrays, so the CSR blockmodel and the
-    CPU baselines' :class:`DenseBlockmodel` share it.
+    ``bm.lookup``, the degree arrays and ``bm.num_blocks``, so the CSR
+    blockmodel and the CPU baselines' :class:`DenseBlockmodel` share it.
     """
     r, s = ctx.r, ctx.s
     p = ctx.num_movers
+    b = bm.num_blocks
     moving = r != s
     movers = np.arange(p, dtype=INDEX_DTYPE)
     out_seg = np.repeat(movers, ctx.kout_ptr[1:] - ctx.kout_ptr[:-1])
@@ -432,28 +451,42 @@ def move_delta_cells(
     kin_s = weight_to(in_seg, ctx.kin_blk, kin_w, s)
     self_w = ctx.self_w.astype(FLOAT_DTYPE)
 
-    def off_corner(seg, blk):
-        return moving[seg] & (blk != r[seg]) & (blk != s[seg])
-
-    keep_o = off_corner(out_seg, ctx.kout_blk)
-    so, to, wo = out_seg[keep_o], ctx.kout_blk[keep_o], kout_w[keep_o]
-    keep_i = off_corner(in_seg, ctx.kin_blk)
-    si, ti, wi = in_seg[keep_i], ctx.kin_blk[keep_i], kin_w[keep_i]
+    # every entry of a moving mover, out-entries first: neighbour block
+    # t, weight w, and the mover's k_out[t] and k_in[t]
+    keep_o = moving[out_seg]
+    keep_i = moving[in_seg]
+    n_out = int(keep_o.sum())
+    seg = np.concatenate((out_seg[keep_o], in_seg[keep_i]))
+    t = np.concatenate((ctx.kout_blk[keep_o], ctx.kin_blk[keep_i]))
+    w = np.concatenate((kout_w[keep_o], kin_w[keep_i]))
+    k_out_t = np.concatenate((w[:n_out], ctx.kout_at_in[keep_i]))
+    k_in_t = np.concatenate((ctx.kin_at_out[keep_o], w[n_out:]))
+    r_e, s_e = r[seg], s[seg]
+    n = len(t)
     mv = np.flatnonzero(moving)
     rm, sm = r[mv], s[mv]
-    # corner shifts: _move_new_rows_cols_dense at (r,r), (r,s), (s,r), (s,s)
-    rows = np.concatenate((r[so], s[so], ti, ti, rm, rm, sm, sm))
-    cols = np.concatenate((to, to, r[si], s[si], rm, sm, rm, sm))
+
+    rows = np.concatenate((r_e, s_e, t, t, rm, rm, sm, sm))
+    cols = np.concatenate((t, t, r_e, s_e, rm, sm, rm, sm))
+    looked = bm.lookup(rows, cols).astype(FLOAT_DTYPE)
+    m_rt, m_st, m_tr, m_ts = looked[: 4 * n].reshape(4, n)
+
+    # ΔS: the off-corner out-entries' row cells and in-entries' column
+    # cells, then the corners (r,r), (r,s), (s,r), (s,s) shifted as in
+    # _move_new_rows_cols_dense
+    off = (t != r_e) & (t != s_e)
+    so = np.flatnonzero(off[:n_out])
+    si = n_out + np.flatnonzero(off[n_out:])
+    old = np.concatenate((m_rt[so], m_st[so], m_tr[si], m_ts[si], looked[4 * n:]))
     shift = np.concatenate((
-        -wo, wo, -wi, wi,
+        -w[so], w[so], -w[si], w[si],
         -(kout_r + kin_r + self_w)[mv],
         (kin_r - kout_s)[mv],
         (kout_r - kin_s)[mv],
         (kout_s + kin_s + self_w)[mv],
     ))
-    seg = np.concatenate((so, so, si, si, mv, mv, mv, mv))
-    old = bm.lookup(rows, cols).astype(FLOAT_DTYPE)
     new = old + shift
+    cell_seg = np.concatenate((seg[so], seg[so], seg[si], seg[si], mv, mv, mv, mv))
 
     d_out = bm.deg_out.astype(FLOAT_DTYPE)
     d_in = bm.deg_in.astype(FLOAT_DTYPE)
@@ -467,19 +500,51 @@ def move_delta_cells(
     for arr in (old, new, deg_old, deg_new):
         if arr.size and not arr.min() >= 0:
             raise NumericalError(
-                "move_delta_cells: negative or non-finite blockmodel "
+                "move_delta_hastings: negative or non-finite blockmodel "
                 "count — blockmodel counts are corrupt upstream of Eq. 7"
             )
     cells = _xlogx(old) - _xlogx(new)
     # bincount over zero cells (no mover moves) returns int64
-    delta = np.bincount(seg, weights=cells, minlength=p).astype(FLOAT_DTYPE)
+    delta = np.bincount(cell_seg, weights=cells, minlength=p).astype(FLOAT_DTYPE)
     delta[mv] -= (_xlogx(deg_old) - _xlogx(deg_new)).reshape(4, -1).sum(axis=0)
     if delta.size and not np.isfinite(delta).all():
         raise NumericalError(
-            "move_delta_cells: non-finite ΔMDL — blockmodel counts are "
+            "move_delta_hastings: non-finite ΔMDL — blockmodel counts are "
             "corrupt upstream of Eq. 7"
         )
-    return delta
+
+    # H: forward over the current blockmodel, backward over the post-move
+    # entries M'[r,t] = M[r,t] − k_out[t] + [t=r](−k_in[r] − self) +
+    # [t=s] k_in[r], M'[t,r] likewise with out and in swapped
+    deg_tot = (bm.deg_out + bm.deg_in).astype(FLOAT_DTYPE)
+    fwd_terms = w * (m_ts + m_st + 1.0) / (deg_tot[t] + b)
+    p_fwd = np.bincount(seg, weights=fwd_terms, minlength=p)
+    is_r = t == r_e
+    is_s = t == s_e
+    m_rt_new = (
+        m_rt
+        - k_out_t
+        + np.where(is_r, -(kin_r[seg] + self_w[seg]), 0.0)
+        + np.where(is_s, kin_r[seg], 0.0)
+    )
+    m_tr_new = (
+        m_tr
+        - k_in_t
+        + np.where(is_r, -(kout_r[seg] + self_w[seg]), 0.0)
+        + np.where(is_s, kout_r[seg], 0.0)
+    )
+    d_v_tot = (ctx.d_out_v + ctx.d_in_v).astype(FLOAT_DTYPE)
+    deg_new_t = (
+        deg_tot[t]
+        + np.where(is_s, d_v_tot[seg], 0.0)
+        - np.where(is_r, d_v_tot[seg], 0.0)
+    )
+    bwd_terms = w * (m_tr_new + m_rt_new + 1.0) / (deg_new_t + b)
+    p_bwd = np.bincount(seg, weights=bwd_terms, minlength=p)
+    hastings = np.ones(p, dtype=FLOAT_DTYPE)
+    valid = (p_fwd > 0) & (p_bwd > 0)
+    hastings[valid] = p_bwd[valid] / p_fwd[valid]
+    return delta, hastings
 
 
 def move_delta_batch(
@@ -487,12 +552,12 @@ def move_delta_batch(
     bm: BlockmodelCSR,
     ctx: MoveDeltaContext,
     phase: Optional[str] = None,
-) -> np.ndarray:
-    """:func:`move_delta_cells` as one ``move_delta_cells`` launch."""
-    work = 2 * (len(ctx.kout_blk) + len(ctx.kin_blk)) + 4 * ctx.num_movers
+) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`move_delta_hastings` as one ``move_delta_hastings`` launch."""
+    work = 4 * (len(ctx.kout_blk) + len(ctx.kin_blk)) + 4 * ctx.num_movers
     return device.execute(
-        "move_delta_cells",
+        "move_delta_hastings",
         KernelCost(max(work, 1), ops_per_item=12.0),
-        lambda: move_delta_cells(bm, ctx),
+        lambda: move_delta_hastings(bm, ctx),
         phase,
     )

@@ -8,7 +8,7 @@ from .block_merge import (
 )
 from .golden_section import GoldenSectionSearch
 from .hierarchy import HierarchicalGSAP, HierarchyLevel, HierarchyResult
-from .mh import accept_moves, hastings_correction_batch
+from .mh import accept_moves
 from .partitioner import GSAPPartitioner, partition_graph
 from .proposals import (
     ProposalBatch,
@@ -37,7 +37,6 @@ __all__ = [
     "HierarchyLevel",
     "HierarchyResult",
     "accept_moves",
-    "hastings_correction_batch",
     "GSAPPartitioner",
     "partition_graph",
     "ProposalBatch",

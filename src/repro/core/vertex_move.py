@@ -35,12 +35,16 @@ from ..blockmodel.entropy import description_length
 from ..blockmodel.incremental import IncrementalBlockmodel
 from ..config import SBPConfig
 from ..gpusim.device import Device, KernelCost
-from ..gpusim.primitives import composite_argsort
+from ..gpusim.primitives import composite_keys
 from ..graph.csr import CSRAdjacency, DiGraphCSR
 from ..obs import NULL_OBS, Observability
 from ..types import FLOAT_DTYPE, INDEX_DTYPE, IndexArray
-from .mh import accept_moves, hastings_correction_batch
+from .mh import accept_moves
 from .proposals import combined_vertex_adjacency, propose_vertex_moves
+
+# Unused here; kept as a module attribute so tools that wrap the
+# vertex-move entry points by name still find it.
+hastings_correction_batch = None
 
 PHASE = "vertex_move"
 
@@ -66,12 +70,15 @@ def _aggregate_by_block(
     wgt: np.ndarray,
     vertices: np.ndarray,
     bmap: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    span: int,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Aggregate a gathered adjacency per (mover, neighbour block).
 
     Self-loops (neighbour == mover) are split out.  Returns
-    ``(k_ptr, k_blk, k_w, self_w, total_w)`` where ``total_w`` includes
-    self-loops (the mover's full directional degree).
+    ``(k_ptr, k_blk, k_w, self_w, total_w, k_keys)`` where ``total_w``
+    includes self-loops (the mover's full directional degree) and
+    ``k_keys`` are the entries' strictly increasing composite keys
+    ``mover·span + block``.
     """
     p = len(seg_ptr) - 1
     seg_of = np.repeat(np.arange(p, dtype=INDEX_DTYPE), seg_ptr[1:] - seg_ptr[:-1])
@@ -79,26 +86,20 @@ def _aggregate_by_block(
     self_mask = nbr == vertices[seg_of]
     self_w = np.bincount(seg_of[self_mask], weights=wgt[self_mask], minlength=p)
     keep = ~self_mask
-    seg_k = seg_of[keep]
-    blk = bmap[nbr[keep]]
+    keys = composite_keys(seg_of[keep], bmap[nbr[keep]], (0, span))
     w = wgt[keep].astype(FLOAT_DTYPE)
-    order = composite_argsort(seg_k, blk)
-    seg_k, blk, w = seg_k[order], blk[order], w[order]
-    if len(seg_k):
-        heads = np.empty(len(seg_k), dtype=bool)
-        heads[0] = True
-        heads[1:] = (seg_k[1:] != seg_k[:-1]) | (blk[1:] != blk[:-1])
-        starts = np.flatnonzero(heads)
-        out_seg = seg_k[starts]
-        out_blk = blk[starts]
-        out_w = np.add.reduceat(w, starts)
-    else:
-        out_seg = seg_k
-        out_blk = blk
-        out_w = w
-    counts = np.bincount(out_seg, minlength=p)
+    order = np.argsort(keys, kind="stable")
+    keys, w = keys[order], w[order]
+    heads = np.empty(len(keys), dtype=bool)
+    heads[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=heads[1:])
+    starts = np.flatnonzero(heads)
+    k_keys = keys[starts]
+    k_seg, k_blk = np.divmod(k_keys, span)
+    k_w = np.add.reduceat(w, starts) if len(starts) else w
+    counts = np.bincount(k_seg, minlength=p)
     k_ptr = np.concatenate(([0], np.cumsum(counts))).astype(INDEX_DTYPE)
-    return k_ptr, out_blk.astype(INDEX_DTYPE), out_w, self_w, total_w
+    return k_ptr, k_blk.astype(INDEX_DTYPE), k_w, self_w, total_w, k_keys
 
 
 def move_context(
@@ -111,18 +112,27 @@ def move_context(
 
     Segment ``i`` of the result is ``vertices[i]``'s neighbourhood: the
     same blocks (ascending), weights, self-loop weight and degrees a
-    per-vertex aggregation would give.  This is the host body of
-    :func:`build_move_context`.
+    per-vertex aggregation would give.  Both directions come out keyed
+    by ``(mover, block)`` in increasing order, so one merge of the two
+    key lists pairs each out-entry with the mover's in-weight at the
+    same block and each in-entry with its out-weight.  This is the host
+    body of :func:`build_move_context`.
     """
     vertices = np.asarray(vertices, dtype=INDEX_DTYPE)
-    out_ptr, out_nbr, out_wgt = gather_adjacency_rows(graph.out_adj, vertices)
-    kout_ptr, kout_blk, kout_w, self_w, d_out_v = _aggregate_by_block(
-        out_ptr, out_nbr, out_wgt, vertices, bmap
+    span = int(bmap.max()) + 1 if len(bmap) else 1
+    kout_ptr, kout_blk, kout_w, self_w, d_out_v, kout_keys = _aggregate_by_block(
+        *gather_adjacency_rows(graph.out_adj, vertices), vertices, bmap, span
     )
-    in_ptr, in_nbr, in_wgt = gather_adjacency_rows(graph.in_adj, vertices)
-    kin_ptr, kin_blk, kin_w, _self_in, d_in_v = _aggregate_by_block(
-        in_ptr, in_nbr, in_wgt, vertices, bmap
+    kin_ptr, kin_blk, kin_w, _self_in, d_in_v, kin_keys = _aggregate_by_block(
+        *gather_adjacency_rows(graph.in_adj, vertices), vertices, bmap, span
     )
+    _, at_out, at_in = np.intersect1d(
+        kout_keys, kin_keys, assume_unique=True, return_indices=True
+    )
+    kin_at_out = np.zeros(len(kout_w), dtype=FLOAT_DTYPE)
+    kin_at_out[at_out] = kin_w[at_in]
+    kout_at_in = np.zeros(len(kin_w), dtype=FLOAT_DTYPE)
+    kout_at_in[at_in] = kout_w[at_out]
     return MoveDeltaContext(
         r=bmap[vertices].astype(INDEX_DTYPE),
         s=np.asarray(proposals, dtype=INDEX_DTYPE),
@@ -132,6 +142,8 @@ def move_context(
         kin_ptr=kin_ptr,
         kin_blk=kin_blk,
         kin_w=kin_w,
+        kin_at_out=kin_at_out,
+        kout_at_in=kout_at_in,
         self_w=self_w,
         d_out_v=d_out_v,
         d_in_v=d_in_v,
@@ -268,8 +280,7 @@ def run_vertex_move_phase(
                 ctx = build_move_context(
                     device, graph, bmap, batch, prop.proposals, PHASE
                 )
-                delta = move_delta_batch(device, blockmodel, ctx, PHASE)
-                hastings = hastings_correction_batch(device, blockmodel, ctx, PHASE)
+                delta, hastings = move_delta_batch(device, blockmodel, ctx, PHASE)
                 accept = accept_moves(device, delta, hastings, config.beta, rng, PHASE)
                 accept &= ctx.r != ctx.s
                 num_accepted = int(accept.sum())

@@ -7,7 +7,6 @@ device accounts both wall time and an A4000-calibrated simulated time.
 
 from .device import (
     A4000,
-    TINY_DEVICE,
     Device,
     DeviceSpec,
     KernelCost,
@@ -27,7 +26,6 @@ from .curand import (
 
 __all__ = [
     "A4000",
-    "TINY_DEVICE",
     "buffer_digest",
     "Device",
     "DeviceSpec",

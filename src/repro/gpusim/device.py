@@ -59,14 +59,6 @@ A4000 = DeviceSpec(
     effective_ops_per_s=2.0e11,
 )
 
-#: A deliberately slow device for tests of the cost model.
-TINY_DEVICE = DeviceSpec(
-    name="tiny (test)",
-    memory_bandwidth_gbps=10.0,
-    kernel_launch_overhead_s=5e-6,
-    effective_ops_per_s=1.0e9,
-)
-
 
 @dataclass
 class KernelCost:
@@ -119,10 +111,6 @@ class Device:
     def sim_time_s(self) -> float:
         """Total simulated device time of the kernels launched so far."""
         return self._sim_time_s
-
-    def reset_clocks(self) -> None:
-        self._sim_time_s = 0.0
-        self.profiler.reset()
 
     def _kernel_sim_time(self, cost: KernelCost) -> float:
         compute = (cost.work_items * cost.ops_per_item) / self.spec.effective_ops_per_s

@@ -60,21 +60,6 @@ def gather(
     )
 
 
-def scatter(
-    device: Device,
-    target: np.ndarray,
-    indices: np.ndarray,
-    values: np.ndarray,
-    phase: Optional[str] = None,
-) -> None:
-    """Random-access scatter ``target[indices[i]] = values[i]`` (in place)."""
-
-    def body() -> None:
-        target[indices] = values
-
-    device.execute("scatter", _cost_linear(len(indices), 1.0, words=3), body, phase)
-
-
 def sort_by_key(
     device: Device,
     keys: np.ndarray,

@@ -71,39 +71,5 @@ class Profiler:
         """Aggregate kernel records per kernel name."""
         return self._aggregate("name")
 
-    def total_wall_time_s(self) -> float:
-        return sum(r.wall_time_s for r in self.kernel_records)
-
-    def total_sim_time_s(self) -> float:
-        return sum(r.sim_time_s for r in self.kernel_records)
-
-    def phase_shares(self, clock: str = "wall") -> Dict[str, float]:
-        """Fraction of total time per phase, on the chosen clock."""
-        if clock not in ("wall", "sim"):
-            raise ValueError(f"clock must be 'wall' or 'sim', got {clock!r}")
-        attr = "wall_time_s" if clock == "wall" else "sim_time_s"
-        summaries = self.by_phase()
-        total = sum(getattr(s, attr) for s in summaries.values())
-        if total <= 0:
-            return {phase: 0.0 for phase in summaries}
-        return {
-            phase: getattr(summary, attr) / total
-            for phase, summary in summaries.items()
-        }
-
     def launch_count(self) -> int:
         return len(self.kernel_records)
-
-    def snapshot(self) -> "ProfilerSnapshot":
-        """Freeze current totals (cheap; used to diff around a phase)."""
-        return ProfilerSnapshot(num_kernels=len(self.kernel_records))
-
-    def records_since(self, snapshot: "ProfilerSnapshot") -> List[KernelRecord]:
-        return self.kernel_records[snapshot.num_kernels :]
-
-
-@dataclass(frozen=True)
-class ProfilerSnapshot:
-    """Marker into a profiler's kernel records."""
-
-    num_kernels: int

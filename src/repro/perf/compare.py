@@ -98,6 +98,11 @@ class CompareReport:
     environment_warnings: List[str] = field(default_factory=list)
     missing_workloads: List[str] = field(default_factory=list)
     new_workloads: List[str] = field(default_factory=list)
+    #: per workload judged on both sides, the ``phase/kernel`` keys only
+    #: the baseline has (retired or renamed) and only the candidate has;
+    #: neither side is judged
+    missing_kernels: Dict[str, List[str]] = field(default_factory=dict)
+    new_kernels: Dict[str, List[str]] = field(default_factory=dict)
     #: advisory drift notes on the scaling curves (single measurements
     #: per point — no statistical gate, so they never fail the run)
     scaling_warnings: List[str] = field(default_factory=list)
@@ -127,6 +132,8 @@ class CompareReport:
             "environment_warnings": list(self.environment_warnings),
             "missing_workloads": list(self.missing_workloads),
             "new_workloads": list(self.new_workloads),
+            "missing_kernels": dict(self.missing_kernels),
+            "new_kernels": dict(self.new_kernels),
             "scaling_warnings": list(self.scaling_warnings),
             "verdicts": [v.to_dict() for v in self.verdicts],
         }
@@ -239,6 +246,12 @@ def compare_records(
 
         base_kernels: Dict[str, dict] = base_wl.get("kernels") or {}
         cand_kernels: Dict[str, dict] = cand_wl.get("kernels") or {}
+        missing = sorted(set(base_kernels) - set(cand_kernels))
+        added = sorted(set(cand_kernels) - set(base_kernels))
+        if missing:
+            report.missing_kernels[key] = missing
+        if added:
+            report.new_kernels[key] = added
         for kname in sorted(set(base_kernels) & set(cand_kernels)):
             a = base_kernels[kname].get("wall_s") or []
             b = cand_kernels[kname].get("wall_s") or []
@@ -289,7 +302,18 @@ def compare_markdown(report: CompareReport) -> str:
             f"Workloads new in candidate (not judged): "
             f"{', '.join(report.new_workloads)}"
         )
-    if report.missing_workloads or report.new_workloads:
+    for key, kernels in report.missing_kernels.items():
+        lines.append(
+            f"Kernels missing from candidate in {key} (not judged): "
+            f"{', '.join(kernels)}"
+        )
+    for key, kernels in report.new_kernels.items():
+        lines.append(
+            f"Kernels new in candidate in {key} (not judged): "
+            f"{', '.join(kernels)}"
+        )
+    if (report.missing_workloads or report.new_workloads
+            or report.missing_kernels or report.new_kernels):
         lines.append("")
     if report.scaling_warnings:
         lines.append("Scaling-curve drift (advisory — single measurements):")

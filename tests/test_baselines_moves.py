@@ -101,8 +101,7 @@ def test_no_new_block_skips_scoring(move_edge_cases, monkeypatch):
     def unreachable(*_args):
         raise AssertionError("scored a batch in which no vertex moves")
 
-    monkeypatch.setattr(moves, "move_delta_cells", unreachable)
-    monkeypatch.setattr(moves, "hastings_ratio", unreachable)
+    monkeypatch.setattr(moves, "move_delta_hastings", unreachable)
     rng = np.random.default_rng(1)
     # a one-block model can only propose the mover's own block
     one_block = np.zeros_like(bmap)

@@ -11,13 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import graphs_with_partitions
+from repro.baselines.common import hastings_correction_dense
 from repro.blockmodel.blockmodel import BlockmodelCSR
 from repro.blockmodel.delta import (
     VertexNeighborhood,
     merge_delta_batch,
     merge_delta_dense,
     move_delta_batch,
-    move_delta_cells,
+    move_delta_hastings,
     merge_delta_cells,
     move_delta_dense,
 )
@@ -130,7 +131,7 @@ def test_move_delta_batch_matches_dense(data, picker):
         [picker.draw(st.integers(0, b - 1)) for _ in range(n)], dtype=np.int64
     )
     ctx = build_move_context(device, graph, bmap, movers, proposals)
-    batch = move_delta_batch(device, bm, ctx)
+    batch, _ = move_delta_batch(device, bm, ctx)
     for i, v in enumerate(movers):
         r, s = int(bmap[v]), int(proposals[i])
         expected = move_delta_dense(dense, r, s, neighborhood_of(graph, bmap, v))
@@ -204,7 +205,7 @@ class TestTouchedCellMoveDelta:
         dense = DenseBlockmodel.from_graph(graph, bmap, b)
         bm = BlockmodelCSR.from_dense(dense.matrix)
         ctx = build_move_context(device, graph, bmap, movers, proposals)
-        got = move_delta_batch(device, bm, ctx)
+        got, _ = move_delta_batch(device, bm, ctx)
 
         # the batch covers every edge case the touched-cell path splits on
         nbhds = [neighborhood_of(graph, bmap, v) for v in movers]
@@ -231,7 +232,7 @@ class TestTouchedCellMoveDelta:
         graph, bmap, b, movers, proposals = move_edge_cases
         dense = DenseBlockmodel.from_graph(graph, bmap, b)
         ctx = move_context(graph, bmap, movers, proposals)
-        got = move_delta_cells(dense, ctx)
+        got, _ = move_delta_hastings(dense, ctx)
         for i, v in enumerate(movers):
             r, s = int(bmap[v]), int(proposals[i])
             expected = move_delta_dense(
@@ -246,9 +247,44 @@ class TestTouchedCellMoveDelta:
         dense = DenseBlockmodel.from_graph(graph, bmap, b)
         bm = BlockmodelCSR.from_dense(dense.matrix)
         ctx = build_move_context(device, graph, bmap, movers, proposals)
-        on_dense = move_delta_cells(dense, ctx)
-        assert np.array_equal(on_dense, move_delta_cells(bm, ctx))
-        assert np.array_equal(on_dense, move_delta_batch(device, bm, ctx))
+        on_dense, _ = move_delta_hastings(dense, ctx)
+        assert np.array_equal(on_dense, move_delta_hastings(bm, ctx)[0])
+        assert np.array_equal(on_dense, move_delta_batch(device, bm, ctx)[0])
+
+    @pytest.mark.parametrize("model", ["dense", "csr_table", "csr_search"])
+    def test_fused_scores_of_a_dataset_batch_match_both_oracles(
+        self, model, monkeypatch
+    ):
+        """ΔS and H of one batch on every blockmodel form and lookup path."""
+        graph, _ = load_dataset("low_low", 300, seed=1)
+        rng = np.random.default_rng(5)
+        b = 12
+        bmap = rng.integers(0, b, graph.num_vertices).astype(np.int64)
+        dense = DenseBlockmodel.from_graph(graph, bmap, b)
+        if model == "csr_search":
+            monkeypatch.setattr(csr_module, "LOOKUP_TABLE_MAX_CELLS", 0)
+        bm = dense if model == "dense" else BlockmodelCSR.from_dense(dense.matrix)
+        if model != "dense":
+            assert (bm._lookup_table() is None) == (model == "csr_search")
+        movers = rng.permutation(graph.num_vertices)[:120]
+        proposals = rng.integers(0, b, len(movers))
+        ctx = move_context(graph, bmap, movers, proposals)
+        delta, hastings = move_delta_hastings(bm, ctx)
+        reference = move_delta_hastings(dense, ctx)
+        assert np.array_equal(delta, reference[0])
+        assert np.array_equal(hastings, reference[1])
+        for i, v in enumerate(movers):
+            r, s = int(ctx.r[i]), int(ctx.s[i])
+            if r == s:
+                assert delta[i] == 0.0 and hastings[i] == 1.0
+                continue
+            nbhd = neighborhood_of(graph, bmap, int(v))
+            assert delta[i] == pytest.approx(
+                move_delta_dense(dense, r, s, nbhd), rel=1e-9, abs=1e-9
+            )
+            assert hastings[i] == pytest.approx(
+                hastings_correction_dense(dense, r, s, nbhd), rel=1e-9
+            )
 
     def test_dense_lookup_matches_csr_lookup(self, move_edge_cases):
         graph, bmap, b, _, _ = move_edge_cases
@@ -280,8 +316,8 @@ class TestTouchedCellMoveDelta:
         rng = np.random.default_rng(0)
         before = rng.bit_generator.state
         with pytest.raises(NumericalError):
-            delta = move_delta_batch(device, corrupt, ctx)
-            accept_moves(device, delta, np.ones_like(delta), 3.0, rng)
+            delta, hastings = move_delta_batch(device, corrupt, ctx)
+            accept_moves(device, delta, hastings, 3.0, rng)
         assert rng.bit_generator.state == before
 
     def test_corrupt_cell_raises_on_the_dense_path(self, move_edge_cases):
@@ -289,7 +325,7 @@ class TestTouchedCellMoveDelta:
         corrupt = DenseBlockmodel(self._corrupt_matrix(graph, bmap))
         ctx = move_context(graph, bmap, np.array([0]), np.array([1]))
         with pytest.raises(NumericalError):
-            move_delta_cells(corrupt, ctx)
+            move_delta_hastings(corrupt, ctx)
 
 
 class TestTouchedCellMergeDelta:

@@ -9,7 +9,8 @@ from conftest import graphs_with_partitions
 from repro.baselines.common import hastings_correction_dense, vertex_neighborhood
 from repro.blockmodel.blockmodel import BlockmodelCSR
 from repro.blockmodel.dense import DenseBlockmodel
-from repro.core.mh import accept_moves, hastings_correction_batch, hastings_ratio
+from repro.blockmodel.delta import move_delta_batch, move_delta_dense, move_delta_hastings
+from repro.core.mh import accept_moves
 from repro.core.vertex_move import build_move_context, move_context
 from repro.gpusim.device import A4000, Device
 
@@ -66,7 +67,7 @@ class TestHastingsBatch:
         movers = rng.choice(graph.num_vertices, 40, replace=False)
         proposals = rng.integers(0, b, 40).astype(np.int64)
         ctx = build_move_context(device, graph, bmap, movers, proposals)
-        batch = hastings_correction_batch(device, bm, ctx)
+        _, batch = move_delta_batch(device, bm, ctx)
         for i, v in enumerate(movers):
             r, s = int(bmap[v]), int(proposals[i])
             if r == s:
@@ -86,7 +87,7 @@ class TestHastingsBatch:
         ctx = build_move_context(
             device, graph, bmap, np.array([2]), np.array([1])
         )
-        out = hastings_correction_batch(device, bm, ctx)
+        _, out = move_delta_batch(device, bm, ctx)
         assert out[0] == 1.0
 
     def test_positive(self, small_graph, device, rng):
@@ -99,19 +100,19 @@ class TestHastingsBatch:
         movers = np.arange(graph.num_vertices)
         proposals = rng.integers(0, 5, graph.num_vertices).astype(np.int64)
         ctx = build_move_context(device, graph, bmap, movers, proposals)
-        out = hastings_correction_batch(device, bm, ctx)
+        _, out = move_delta_batch(device, bm, ctx)
         assert np.all(out > 0)
         assert np.all(np.isfinite(out))
 
 
 class TestHastingsHostBody:
-    """:func:`hastings_ratio` on the CPU baselines' dense blockmodel."""
+    """The Hastings half of :func:`move_delta_hastings` on both blockmodels."""
 
     def test_dense_matches_dense_oracle(self, move_edge_cases):
         graph, bmap, b, movers, proposals = move_edge_cases
         dense = DenseBlockmodel.from_graph(graph, bmap, b)
         ctx = move_context(graph, bmap, movers, proposals)
-        got = hastings_ratio(dense, ctx)
+        _, got = move_delta_hastings(dense, ctx)
         for i, v in enumerate(movers):
             r, s = int(bmap[v]), int(proposals[i])
             if r == s:
@@ -127,11 +128,50 @@ class TestHastingsHostBody:
         dense = DenseBlockmodel.from_graph(graph, bmap, b)
         bm = BlockmodelCSR.from_dense(dense.matrix)
         ctx = build_move_context(device, graph, bmap, movers, proposals)
-        on_dense = hastings_ratio(dense, ctx)
-        assert np.array_equal(on_dense, hastings_ratio(bm, ctx))
-        assert np.array_equal(
-            on_dense, hastings_correction_batch(device, bm, ctx)
+        _, on_dense = move_delta_hastings(dense, ctx)
+        assert np.array_equal(on_dense, move_delta_hastings(bm, ctx)[1])
+        assert np.array_equal(on_dense, move_delta_batch(device, bm, ctx)[1])
+
+    @pytest.mark.parametrize("kind", ["csr", "dense"])
+    def test_fused_scores_match_both_dense_oracles(self, kind, move_edge_cases):
+        """ΔS against Eq. 7 and H against the per-move correction, on
+        every corner the shared cell lookups split on."""
+        graph, bmap, b, movers, proposals = move_edge_cases
+        dense = DenseBlockmodel.from_graph(graph, bmap, b)
+        model = dense if kind == "dense" else BlockmodelCSR.from_dense(dense.matrix)
+        ctx = move_context(graph, bmap, movers, proposals)
+        delta, hastings = move_delta_hastings(model, ctx)
+
+        nbhds = [vertex_neighborhood(graph, bmap, int(v)) for v in movers]
+        moving = ctx.r != ctx.s
+        blocks = [set(n.k_out_blocks) | set(n.k_in_blocks) for n in nbhds]
+        both_lists = [set(n.k_out_blocks) & set(n.k_in_blocks) for n in nbhds]
+        # the batch covers self-loops, a block in both of a mover's
+        # lists outside {r, s}, t in {r, s}, r == s and no neighbours
+        assert any(n.self_weight and m for n, m in zip(nbhds, moving))
+        assert any(
+            m and (both - {r, s})
+            for both, m, r, s in zip(both_lists, moving, ctx.r, ctx.s)
         )
+        assert any(
+            m and r in blk and s in blk
+            for blk, m, r, s in zip(blocks, moving, ctx.r, ctx.s)
+        )
+        assert np.any(~moving)
+        lonely = np.array([not blk for blk in blocks])
+        assert np.any(lonely & moving)
+
+        for i, v in enumerate(movers):
+            r, s = int(ctx.r[i]), int(ctx.s[i])
+            if r == s or lonely[i]:
+                assert delta[i] == 0.0 and hastings[i] == 1.0, (v, r, s)
+                continue
+            assert delta[i] == pytest.approx(
+                move_delta_dense(dense, r, s, nbhds[i]), rel=1e-9, abs=1e-9
+            ), (v, r, s)
+            assert hastings[i] == pytest.approx(
+                hastings_correction_dense(dense, r, s, nbhds[i]), rel=1e-9
+            ), (v, r, s)
 
 
 @settings(max_examples=25, deadline=None)
@@ -146,7 +186,7 @@ def test_hastings_batch_matches_dense_property(data, picker):
         [picker.draw(st.integers(0, b - 1)) for _ in range(n)], dtype=np.int64
     )
     ctx = build_move_context(device, graph, bmap, np.arange(n), proposals)
-    batch = hastings_correction_batch(device, bm, ctx)
+    _, batch = move_delta_batch(device, bm, ctx)
     for v in range(n):
         r, s = int(bmap[v]), int(proposals[v])
         if r == s:

@@ -9,6 +9,7 @@ from repro.blockmodel.update import rebuild_blockmodel
 from repro.core.vertex_move import (
     build_move_context,
     gather_adjacency_rows,
+    move_context,
     run_vertex_move_phase,
 )
 from repro.gpusim.primitives import composite_keys
@@ -67,8 +68,8 @@ class TestBuildMoveContext:
     def test_k_arrays_strictly_increasing_by_mover_and_block(
         self, device, small_graph_with_truth
     ):
-        """The Hastings cross lookup binary-searches the k-arrays'
-        composite (mover, block) keys without sorting them first."""
+        """move_context pairs the two directions by merging their
+        composite (mover, block) keys without sorting them again."""
         graph, truth = small_graph_with_truth
         b = int(truth.max()) + 1
         rng = np.random.default_rng(3)
@@ -80,6 +81,25 @@ class TestBuildMoveContext:
             keys = composite_keys(seg, blk, (0, b))
             assert len(keys) > len(movers)
             assert np.all(np.diff(keys) > 0)
+
+    def test_cross_weights_pair_each_entry_with_the_other_direction(
+        self, move_edge_cases
+    ):
+        graph, bmap, _, movers, proposals = move_edge_cases
+        ctx = move_context(graph, bmap, movers, proposals)
+        assert np.any(ctx.kin_at_out > 0) and np.any(ctx.kin_at_out == 0)
+        assert np.any(ctx.kout_at_in > 0) and np.any(ctx.kout_at_in == 0)
+        for i in range(ctx.num_movers):
+            out = slice(ctx.kout_ptr[i], ctx.kout_ptr[i + 1])
+            inn = slice(ctx.kin_ptr[i], ctx.kin_ptr[i + 1])
+            k_out = dict(zip(ctx.kout_blk[out].tolist(), ctx.kout_w[out]))
+            k_in = dict(zip(ctx.kin_blk[inn].tolist(), ctx.kin_w[inn]))
+            assert ctx.kin_at_out[out].tolist() == [
+                k_in.get(t, 0.0) for t in ctx.kout_blk[out].tolist()
+            ]
+            assert ctx.kout_at_in[inn].tolist() == [
+                k_out.get(t, 0.0) for t in ctx.kin_blk[inn].tolist()
+            ]
 
     def test_r_and_s_recorded(self, device, tiny_graph):
         bmap = np.array([0, 1, 0, 1])

@@ -6,7 +6,7 @@ import pytest
 from repro.errors import KernelLaunchError
 from repro.gpusim.device import (
     A4000,
-    TINY_DEVICE,
+    DeviceSpec,
     Device,
     KernelCost,
     get_default_device,
@@ -19,10 +19,6 @@ class TestSpec:
         assert A4000.memory_bandwidth_gbps == 448.0
         assert A4000.kernel_launch_overhead_s == 5e-6
         assert A4000.effective_ops_per_s == 2.0e11
-
-    def test_tiny_device_is_small(self):
-        assert TINY_DEVICE.memory_bandwidth_gbps < A4000.memory_bandwidth_gbps
-        assert TINY_DEVICE.effective_ops_per_s < A4000.effective_ops_per_s
 
 
 class TestClocks:
@@ -52,13 +48,6 @@ class TestClocks:
         )
         expected = nbytes / (A4000.memory_bandwidth_gbps * 1e9)
         assert dev.sim_time_s >= expected
-
-    def test_reset_clocks(self):
-        dev = Device(A4000)
-        dev.execute("k", KernelCost(work_items=10), lambda: None)
-        dev.reset_clocks()
-        assert dev.sim_time_s == 0.0
-        assert dev.profiler.launch_count() == 0
 
 
 class TestExecute:
@@ -100,7 +89,7 @@ class TestDefaultDevice:
         assert a is b
 
     def test_override(self):
-        custom = Device(TINY_DEVICE)
+        custom = Device(DeviceSpec("custom", 10.0, 5e-6, 1.0e9))
         set_default_device(custom)
         try:
             assert get_default_device() is custom

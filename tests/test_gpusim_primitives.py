@@ -43,17 +43,12 @@ def test_exclusive_scan_matches_numpy(values):
 
 
 # ----------------------------------------------------------------------
-# gather / scatter
+# gather
 # ----------------------------------------------------------------------
 class TestGatherScatter:
     def test_gather(self, dev):
         out = prim.gather(dev, np.array([10, 20, 30]), np.array([2, 0, 2]))
         np.testing.assert_array_equal(out, [30, 10, 30])
-
-    def test_scatter(self, dev):
-        target = np.zeros(4, dtype=np.int64)
-        prim.scatter(dev, target, np.array([1, 3]), np.array([7, 9]))
-        np.testing.assert_array_equal(target, [0, 7, 0, 9])
 
 
 # ----------------------------------------------------------------------

@@ -13,6 +13,7 @@ Plus: schema round-trips, NULL_OBS records, trajectory appends and the
 committed baseline artifacts validating against the schema.
 """
 
+import copy
 import json
 import time
 from pathlib import Path
@@ -46,7 +47,7 @@ from repro.perf import (
 REPO_ROOT = Path(__file__).resolve().parent.parent
 QUICK = [PerfWorkload(WorkloadSpec("low_low", 200, "GSAP"))]
 
-TARGET_KERNEL = "hastings_correction"
+TARGET_KERNEL = "move_delta_hastings"
 TARGET_PHASE = "vertex_move"
 TARGET_PAIR = f"{TARGET_PHASE}/{TARGET_KERNEL}"
 #: repeats per record: with 3 a Mann-Whitney test cannot go below
@@ -182,6 +183,31 @@ class TestAAComparison:
         ])
         assert code == 0
         assert "No regressions detected" in capsys.readouterr().out
+
+
+class TestKernelKeysOnOneSide:
+    def test_renamed_kernel_is_reported_not_dropped(self, record_a):
+        """A kernel key present on one side only is listed per workload;
+        the pairs present on both sides are judged exactly as before."""
+        candidate = copy.deepcopy(record_a)
+        (wl,) = candidate["workloads"]
+        wl["kernels"]["vertex_move/renamed"] = wl["kernels"].pop(TARGET_PAIR)
+        report = compare_records(record_a, candidate)
+        key = wl["key"]
+        assert report.missing_kernels == {key: [TARGET_PAIR]}
+        assert report.new_kernels == {key: ["vertex_move/renamed"]}
+        assert report.to_dict()["missing_kernels"] == {key: [TARGET_PAIR]}
+
+        same = compare_records(record_a, record_a)
+        assert not same.missing_kernels and not same.new_kernels
+        judged = {(v.scope, v.subject): v.verdict for v in report.verdicts}
+        assert judged == {
+            (v.scope, v.subject): v.verdict
+            for v in same.verdicts if v.subject != TARGET_PAIR
+        }
+        text = compare_markdown(report)
+        assert f"Kernels missing from candidate in {key} (not judged): {TARGET_PAIR}" in text
+        assert f"Kernels new in candidate in {key} (not judged): vertex_move/renamed" in text
 
 
 class TestInjectedSlowdown:
