@@ -48,7 +48,7 @@ from ..rng import StreamFactory
 from ..types import FLOAT_DTYPE, INDEX_DTYPE
 # Merge proposals look propose_from_blockmodel up here; vertex moves
 # call it inside .moves.  vertex_neighborhood is re-exported.
-from .moves import apply_moves, propose_from_blockmodel, score_moves
+from .moves import FrozenRows, apply_moves, propose_from_blockmodel, score_moves
 from .moves import vertex_neighborhood  # noqa: F401
 
 logger = get_logger("baselines")
@@ -79,12 +79,37 @@ def hastings_correction_dense(
     return float(bwd / fwd)
 
 
+def _draw_merge_targets(
+    model: DenseBlockmodel, rng: np.random.Generator, num_proposals: int
+) -> np.ndarray:
+    """Every block's merge proposals for one round, block by block.
+
+    Block ``r`` pivots on its own row + column, so its running sum from
+    the round's :class:`FrozenRows` stands in for the pivot weights: the
+    draw lands on the same block as a search over its nonzero entries.
+    """
+    b = model.num_blocks
+    rows = FrozenRows(model)
+    blocks = np.arange(b, dtype=INDEX_DTYPE)
+    targets = np.empty((b, num_proposals), dtype=INDEX_DTYPE)
+    for r in range(b):
+        pivot_run = rows.cumsum(r)
+        targets[r] = [
+            propose_from_blockmodel(
+                model, blocks, pivot_run, rng, exclude=r, cache=rows
+            )
+            for _ in range(num_proposals)
+        ]
+    return targets
+
+
 @dataclass
 class MovePhaseResult:
     mdl: float
     num_sweeps: int
     num_proposals: int
     proposal_time_s: float
+    num_moves_accepted: int
 
 
 class CPUSBPEngine:
@@ -240,18 +265,7 @@ class CPUSBPEngine:
                 raise PartitionError("merge phase failed to reach target")
             b = model.num_blocks
             t0 = time.perf_counter()
-            targets = np.empty((b, config.num_proposals), dtype=INDEX_DTYPE)
-            for r in range(b):
-                row = model.matrix[r, :].astype(FLOAT_DTYPE)
-                col = model.matrix[:, r].astype(FLOAT_DTYPE)
-                weights = row + col
-                cands = np.flatnonzero(weights)
-                targets[r] = [
-                    propose_from_blockmodel(
-                        model, cands, weights[cands], rng, exclude=r
-                    )
-                    for _ in range(config.num_proposals)
-                ]
+            targets = _draw_merge_targets(model, rng, config.num_proposals)
             proposers = np.repeat(np.arange(b, dtype=INDEX_DTYPE), targets.shape[1])
             deltas = merge_delta_cells(
                 BlockmodelCSR.from_dense(model.matrix), proposers, targets.ravel()
@@ -292,6 +306,7 @@ class CPUSBPEngine:
         window = deque(maxlen=config.delta_entropy_moving_avg_window)
         proposal_time = 0.0
         sweeps = 0
+        accepted = 0
         for sweep in range(config.max_num_nodal_itr):
             sweeps = sweep + 1
             order = rng.permutation(num_vertices)
@@ -302,7 +317,7 @@ class CPUSBPEngine:
                     rng, config.beta,
                 )
                 proposal_time += prop_s
-                apply_moves(graph, model, bmap, moves)
+                accepted += len(apply_moves(graph, model, bmap, moves))
             new_mdl = description_length(model, num_vertices, total_weight)
             delta_mdl, mdl = mdl - new_mdl, new_mdl
             if sweep_converged(window, delta_mdl, tolerance):
@@ -312,4 +327,5 @@ class CPUSBPEngine:
             num_sweeps=sweeps,
             num_proposals=sweeps * num_vertices,
             proposal_time_s=proposal_time,
+            num_moves_accepted=accepted,
         )

@@ -274,6 +274,7 @@ class EDiStPartitioner(CPUSBPEngine):
         proposal_time = 0.0
         sweeps = 0
         attempts = 0
+        accepted = 0
 
         while sweeps < config.max_num_nodal_itr:
             attempts += 1
@@ -375,6 +376,7 @@ class EDiStPartitioner(CPUSBPEngine):
                         moves = unpack_moves(received)
                 round_moves.extend(moves)
             applied = apply_moves(graph, model, bmap, round_moves)
+            accepted += len(applied)
             ring.append(round_index, applied)
             if lanes:
                 lanes.record_round(
@@ -395,4 +397,5 @@ class EDiStPartitioner(CPUSBPEngine):
             num_sweeps=sweeps,
             num_proposals=proposals,
             proposal_time_s=proposal_time,
+            num_moves_accepted=accepted,
         )

@@ -398,6 +398,20 @@ class MoveDeltaContext:
         return len(self.r)
 
 
+def _require_counts(*arrays: np.ndarray) -> None:
+    """Raise unless every entry is a non-negative count.
+
+    A negative count (read, or driven negative by a move) means the
+    blockmodel no longer matches the graph; ``min()`` propagates NaN.
+    """
+    for arr in arrays:
+        if arr.size and not arr.min() >= 0:
+            raise NumericalError(
+                "move_delta_hastings: negative or non-finite blockmodel "
+                "count — blockmodel counts are corrupt upstream of Eq. 7"
+            )
+
+
 def move_delta_hastings(
     bm: Union[BlockmodelCSR, DenseBlockmodel], ctx: MoveDeltaContext
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -495,14 +509,7 @@ def move_delta_hastings(
     deg_old = np.concatenate((d_out[rm], d_out[sm], d_in[rm], d_in[sm]))
     deg_new = deg_old + np.concatenate((-d_out_v, d_out_v, -d_in_v, d_in_v))
 
-    # A negative count (old, or driven negative by the move) means the
-    # blockmodel no longer matches the graph; min() propagates NaN.
-    for arr in (old, new, deg_old, deg_new):
-        if arr.size and not arr.min() >= 0:
-            raise NumericalError(
-                "move_delta_hastings: negative or non-finite blockmodel "
-                "count — blockmodel counts are corrupt upstream of Eq. 7"
-            )
+    _require_counts(looked, new, deg_old, deg_new)
     cells = _xlogx(old) - _xlogx(new)
     # bincount over zero cells (no mover moves) returns int64
     delta = np.bincount(cell_seg, weights=cells, minlength=p).astype(FLOAT_DTYPE)
@@ -533,6 +540,7 @@ def move_delta_hastings(
         + np.where(is_r, -(kout_r[seg] + self_w[seg]), 0.0)
         + np.where(is_s, kout_r[seg], 0.0)
     )
+    _require_counts(m_rt_new, m_tr_new)
     d_v_tot = (ctx.d_out_v + ctx.d_in_v).astype(FLOAT_DTYPE)
     deg_new_t = (
         deg_tot[t]

@@ -101,6 +101,10 @@ class DenseBlockmodel:
     ) -> None:
         """Move one vertex from block *r* to block *s* (in place).
 
+        The CPU engines apply a batch of moves in one pass
+        (:func:`repro.baselines.moves.apply_moves`); this per-move form
+        is its test oracle.
+
         Parameters
         ----------
         out_blocks, out_weights:

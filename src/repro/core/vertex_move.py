@@ -55,12 +55,10 @@ def gather_adjacency_rows(
     """Concatenate adjacency rows of *rows*: ``(seg_ptr, nbr, wgt)``."""
     lo = adj.ptr[rows]
     lengths = adj.ptr[rows + 1] - lo
-    seg_ptr = np.concatenate(([0], np.cumsum(lengths))).astype(INDEX_DTYPE)
-    total = int(seg_ptr[-1])
-    if total == 0:
-        return seg_ptr, adj.nbr[:0].copy(), adj.wgt[:0].copy()
-    inner = np.arange(total, dtype=INDEX_DTYPE) - np.repeat(seg_ptr[:-1], lengths)
-    idx = np.repeat(lo, lengths) + inner
+    seg_ptr = np.zeros(len(rows) + 1, dtype=INDEX_DTYPE)
+    lengths.cumsum(out=seg_ptr[1:])
+    idx = np.arange(seg_ptr[-1], dtype=INDEX_DTYPE)
+    idx += (lo - seg_ptr[:-1]).repeat(lengths)
     return seg_ptr, adj.nbr[idx], adj.wgt[idx]
 
 

@@ -107,6 +107,29 @@ class TestEDiSt:
         assert result.dist["empty_shards"] == p.comm.empty_shards
         assert len(result.partition) == 20
 
+    def test_move_phase_reports_applied_moves(
+        self, bench_graph, quick_config, monkeypatch
+    ):
+        from repro.baselines import edist
+
+        applied, reported = [], []
+        apply_moves, move_phase = edist.apply_moves, EDiStPartitioner._move_phase
+
+        def counted_apply(*args):
+            out = apply_moves(*args)
+            applied.append(len(out))
+            return out
+
+        def counted_phase(self, *args):
+            result = move_phase(self, *args)
+            reported.append(result.num_moves_accepted)
+            return result
+
+        monkeypatch.setattr(edist, "apply_moves", counted_apply)
+        monkeypatch.setattr(EDiStPartitioner, "_move_phase", counted_phase)
+        EDiStPartitioner(quick_config, num_ranks=2).partition(bench_graph[0])
+        assert sum(reported) == sum(applied) > 0
+
     def test_bad_rank_count(self, quick_config):
         with pytest.raises(PartitionError):
             EDiStPartitioner(quick_config, num_ranks=0)
@@ -171,3 +194,24 @@ class TestByteIdentityOracle:
         assert sha == golden_sha
         assert p.comm.rounds == golden_rounds
         assert p.comm.bytes_sent == golden_bytes
+
+    def test_benchmark_workload_output_is_pinned(self):
+        """The repo benchmark's ``edist-2rank`` partition, seed 0: the
+        labels as little-endian int64, then ``repr`` of the MDL."""
+        import hashlib
+
+        graph, _ = load_dataset("low_low", 1000, 0)
+        config = SBPConfig(
+            seed=0,
+            max_num_nodal_itr=30,
+            delta_entropy_threshold1=5e-3,
+            delta_entropy_threshold2=1e-3,
+        )
+        result = EDiStPartitioner(config, num_ranks=2).partition(graph)
+        digest = hashlib.sha256(
+            np.asarray(result.partition, dtype="<i8").tobytes()
+        )
+        digest.update(repr(float(result.mdl)).encode())
+        assert digest.hexdigest() == (
+            "b90f5f8d737ed017c8a93d51ab574b1e4f185b64ffea8be68589a76b67575724"
+        )

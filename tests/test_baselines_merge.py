@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from conftest import build_graph, graphs_with_partitions
 from repro.baselines import common
 from repro.baselines.common import CPUSBPEngine
-from repro.baselines.moves import propose_from_blockmodel
+from repro.baselines.moves import FrozenRows, propose_from_blockmodel
 from repro.blockmodel.blockmodel import BlockmodelCSR
 from repro.blockmodel.delta import merge_delta_cells, merge_delta_dense
 from repro.blockmodel.dense import DenseBlockmodel
@@ -78,7 +78,7 @@ def per_proposal_merge(model, bmap, target, rng, graph, num_proposals):
             cands = np.flatnonzero(weights)
             for _ in range(num_proposals):
                 s = propose_from_blockmodel(
-                    model, cands, weights[cands], rng, exclude=r
+                    model, cands, np.cumsum(weights[cands]), rng, exclude=r
                 )
                 delta = merge_delta_cells(bm, np.array([r]), np.array([s]))[0]
                 proposals += 1
@@ -146,17 +146,61 @@ def test_corrupt_count_raises_in_a_batch():
         merge_delta_dense(model, 0, np.array([1, 2]))
 
 
+class RecordingRng:
+    """A generator that logs each draw into a shared event list."""
+
+    def __init__(self, seed, events):
+        self.gen = np.random.default_rng(seed)
+        self.events = events
+
+    @property
+    def bit_generator(self):
+        return self.gen.bit_generator
+
+    def random(self):
+        self.events.append("random")
+        return self.gen.random()
+
+    def integers(self, *args):
+        self.events.append("integers")
+        return self.gen.integers(*args)
+
+
+def star(leaves=8):
+    """Hub block 0; every other block's only weight is toward the hub."""
+    spokes = np.arange(1, leaves + 1)
+    graph = build_graph(
+        np.concatenate((spokes, np.zeros(3, dtype=int))),
+        np.concatenate((np.zeros(leaves, dtype=int), spokes[:3])),
+        np.concatenate((np.arange(20, leaves + 20), [1, 2, 3])),
+        num_vertices=leaves + 1,
+    )
+    return graph, np.arange(leaves + 1)
+
+
 @pytest.mark.parametrize("category,target", [
-    ("low_low", 20), ("high_low", 12), ("high_high", 8),
+    ("low_low", 20), ("high_low", 12), ("high_high", 8), ("star", 3),
 ])
-def test_merge_phase_matches_per_proposal_rule(category, target):
-    graph, _ = load_dataset(category, 120, seed=1)
-    bmap = np.random.default_rng(2).integers(0, 60, graph.num_vertices)
-    bmap = np.unique(bmap, return_inverse=True)[1]
+def test_merge_phase_matches_per_proposal_rule(monkeypatch, category, target):
+    if category == "star":
+        graph, bmap = star()
+    else:
+        graph, _ = load_dataset(category, 120, seed=1)
+        bmap = np.random.default_rng(2).integers(0, 60, graph.num_vertices)
+        bmap = np.unique(bmap, return_inverse=True)[1]
     b = int(bmap.max()) + 1
     config = SBPConfig(num_proposals=6)
     engine = CPUSBPEngine(config)
-    rng = np.random.default_rng(3)
+    # log the rule's reads of a pivot's running sum between its draws
+    events = []
+
+    class Rows(FrozenRows):
+        def cumsum(self, u):
+            events.append("cumsum")
+            return super().cumsum(u)
+
+    monkeypatch.setattr(common, "FrozenRows", Rows)
+    rng = RecordingRng(3, events)
     oracle_rng = np.random.default_rng(3)
     got_bmap, model, proposals, _ = engine._merge_phase(
         DenseBlockmodel.from_graph(graph, bmap, b), bmap.copy(), target, rng, graph
@@ -169,6 +213,13 @@ def test_merge_phase_matches_per_proposal_rule(category, target):
     assert model.num_blocks == target
     assert proposals == want_proposals
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
+    # pivot draw, B/(deg+B) test, the pivot's row read, then a uniform
+    # block: the total left after excluding the proposer was 0
+    zero_total = sum(
+        events[i : i + 4] == ["random", "random", "cumsum", "integers"]
+        for i in range(len(events))
+    )
+    assert zero_total > 0 or category != "star"
 
 
 def _spy_on_rounds(monkeypatch):

@@ -5,6 +5,8 @@ a batch in one pass.  The oracle below is the per-vertex rule it
 replaced, inlined: ``move_delta_dense`` + ``hastings_correction_dense``
 per proposal, the acceptance uniform drawn only when ``s != r``.  Both
 must accept the same moves and leave the generator in the same state.
+:func:`repro.baselines.moves.apply_moves` applies a batch in one pass;
+its oracle is the per-move loop it replaced, inlined below.
 """
 
 import math
@@ -22,6 +24,7 @@ from repro.baselines.moves import (
 )
 from repro.blockmodel.delta import move_delta_dense
 from repro.blockmodel.dense import DenseBlockmodel
+from repro.errors import PartitionError
 from repro.graph.datasets import load_dataset
 
 
@@ -34,7 +37,7 @@ def per_vertex_rule(graph, model, bmap, vertices, rng, beta):
         nbhd = vertex_neighborhood(graph, bmap, v)
         pivots = np.concatenate([nbhd.k_out_blocks, nbhd.k_in_blocks])
         pivot_w = np.concatenate([nbhd.k_out_weights, nbhd.k_in_weights])
-        s = propose_from_blockmodel(model, pivots, pivot_w, rng)
+        s = propose_from_blockmodel(model, pivots, np.cumsum(pivot_w), rng)
         if s == r:
             stayed += 1
             continue
@@ -112,7 +115,69 @@ def test_no_new_block_skips_scoring(move_edge_cases, monkeypatch):
     assert score_moves(graph, model, bmap, everyone[:0], rng, 3.0)[0] == []
 
 
+def sequential_apply(graph, model, bmap, moves):
+    """The per-move apply loop the batched ``apply_moves`` replaced."""
+    applied = []
+    for v, r, s in moves:
+        current = int(bmap[v])
+        if current == s:
+            continue
+        nbhd = vertex_neighborhood(graph, bmap, v)
+        model.apply_move(
+            current, s,
+            nbhd.k_out_blocks, nbhd.k_out_weights.astype(np.int64),
+            nbhd.k_in_blocks, nbhd.k_in_weights.astype(np.int64),
+            nbhd.self_weight,
+        )
+        bmap[v] = s
+        applied.append((v, r, s))
+    return applied
+
+
+def random_moves(rng, bmap, b, size):
+    """Moves with repeated vertices, stale ``r`` and no-op ``s``."""
+    vertices = rng.integers(0, len(bmap), size)
+    stale = rng.integers(0, b, size)
+    r = np.where(rng.random(size) < 0.5, bmap[vertices], stale)
+    s = rng.integers(0, b, size)
+    return list(zip(vertices.tolist(), r.tolist(), s.tolist()))
+
+
 class TestApplyMoves:
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("case", ["edge_cases", "dataset"])
+    def test_matches_sequential_loop(self, move_edge_cases, case, seed):
+        if case == "edge_cases":
+            # self-loops on vertices 0 and 3; vertex 6 has no edges
+            graph, bmap, b, _, _ = move_edge_cases
+            sizes = (1, 3, 8, 20)
+        else:
+            graph, _ = load_dataset("low_low", 120, seed=2)
+            b = 8
+            bmap = np.random.default_rng(seed).integers(0, b, graph.num_vertices)
+            sizes = (1, 16, 120, 300)
+        rng = np.random.default_rng(100 + seed)
+        got_bmap = np.array(bmap)
+        got = DenseBlockmodel.from_graph(graph, got_bmap, b)
+        want_bmap = got_bmap.copy()
+        want = got.copy()
+        duplicates = stale = no_ops = 0
+        for size in sizes:
+            moves = random_moves(rng, want_bmap, b, size)
+            vertices = [v for v, _, _ in moves]
+            duplicates += len(vertices) - len(set(vertices))
+            stale += sum(r != want_bmap[v] for v, r, _ in moves)
+            no_ops += sum(s == want_bmap[v] for v, _, s in moves)
+            expected = sequential_apply(graph, want, want_bmap, moves)
+            assert apply_moves(graph, got, got_bmap, moves) == expected
+            np.testing.assert_array_equal(got_bmap, want_bmap)
+            np.testing.assert_array_equal(got.matrix, want.matrix)
+            np.testing.assert_array_equal(got.deg_out, want.deg_out)
+            np.testing.assert_array_equal(got.deg_in, want.deg_in)
+        assert duplicates and stale and no_ops
+        fresh = DenseBlockmodel.from_graph(graph, got_bmap, b)
+        np.testing.assert_array_equal(got.matrix, fresh.matrix)
+
     def test_stale_moves_keep_model_consistent(self, move_edge_cases):
         graph, bmap, b, _, _ = move_edge_cases
         bmap = np.array(bmap)
@@ -127,3 +192,23 @@ class TestApplyMoves:
         np.testing.assert_array_equal(model.matrix, fresh.matrix)
         np.testing.assert_array_equal(model.deg_out, fresh.deg_out)
         np.testing.assert_array_equal(model.deg_in, fresh.deg_in)
+
+    def test_moves_inconsistent_with_the_model_raise(self, move_edge_cases):
+        graph, bmap, b, _, _ = move_edge_cases
+        model = DenseBlockmodel.from_graph(graph, bmap, b)
+        # the model still counts vertex 0 in block 0, but bmap says block
+        # 2, so moving it out of block 2 drives M[1,2] below zero
+        wrong = np.array(bmap)
+        wrong[0] = 2
+        for apply in (sequential_apply, apply_moves):
+            with pytest.raises(PartitionError):
+                apply(graph, model.copy(), wrong.copy(), [(0, 2, 1)])
+
+    def test_no_moves_change_nothing(self, move_edge_cases):
+        graph, bmap, b, _, _ = move_edge_cases
+        bmap = np.array(bmap)
+        model = DenseBlockmodel.from_graph(graph, bmap, b)
+        assert apply_moves(graph, model, bmap, []) == []
+        assert apply_moves(graph, model, bmap, [(1, 0, 0), (1, 1, 0)]) == []
+        fresh = DenseBlockmodel.from_graph(graph, bmap, b)
+        np.testing.assert_array_equal(model.matrix, fresh.matrix)

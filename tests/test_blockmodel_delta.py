@@ -327,6 +327,30 @@ class TestTouchedCellMoveDelta:
         with pytest.raises(NumericalError):
             move_delta_hastings(corrupt, ctx)
 
+    @pytest.mark.parametrize("cell", [(2, 1), (2, 0)])
+    @pytest.mark.parametrize("model", ["dense", "csr_table", "csr_search"])
+    def test_corrupt_hastings_only_cell_raises(
+        self, move_edge_cases, monkeypatch, model, cell
+    ):
+        # vertex 1 (block 0) has one out-entry, block 2, and one
+        # in-entry, its own block; moved to block 1, ΔS reads M[0,2],
+        # M[1,2] and the corners, and only H reads M[2,1] and M[2,0]
+        graph, bmap = move_edge_cases[:2]
+        dense = DenseBlockmodel.from_graph(graph, bmap, 3)
+        dense.matrix[cell] = -dense.matrix[cell]
+        assert dense.matrix[cell] < 0
+        if model == "csr_search":
+            monkeypatch.setattr(csr_module, "LOOKUP_TABLE_MAX_CELLS", 0)
+        bm = dense
+        if model != "dense":
+            bm = BlockmodelCSR.from_dense(dense.matrix)
+            assert (bm._lookup_table() is None) == (model == "csr_search")
+            # the degrees of the sound model, so only the cell is wrong
+            bm.deg_out[:], bm.deg_in[:] = dense.deg_out, dense.deg_in
+        ctx = move_context(graph, bmap, np.array([1]), np.array([1]))
+        with pytest.raises(NumericalError):
+            move_delta_hastings(bm, ctx)
+
 
 class TestTouchedCellMergeDelta:
     """The touched-cell merge delta against the dense Eqs. 4-6 oracle."""
