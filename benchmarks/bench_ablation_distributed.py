@@ -22,8 +22,15 @@ the simulated parallel wall clock we derive the **strong-scaling
 curve** — speedup vs the 1-rank run, parallel efficiency
 (speedup/ranks) and the load-imbalance factor — recorded under the
 bench record's ``scaling`` section so ``gsap perf compare`` can flag
-curve drift between record generations.
+curve drift between record generations.  One run's ~0.1 s of lane
+compute moves by more than the curve's effects, so the sweep runs
+:data:`REPEATS` times, rank counts interleaved within each repeat.
+Repeat ``k``'s speedup at ``r`` ranks is its 1-rank lane clock over its
+``r``-rank one; each point carries the medians over the repeats and the
+speedup's range, and ``extras.scaling_samples`` keeps every sample.
 """
+
+import statistics
 
 import numpy as np
 import pytest
@@ -38,6 +45,8 @@ from repro.resilience.faults import FaultPlan, FaultSpec
 _RESULTS = {}
 _FAULT_RESULTS = {}
 RANK_COUNTS = (1, 2, 4, 8)
+#: rank sweeps; each scaling point is a median over them
+REPEATS = 3
 
 #: the comm-fault matrix: scenario name -> fault plan (4 ranks)
 FAULT_SCENARIOS = {
@@ -54,9 +63,8 @@ FAULT_SCENARIOS = {
 }
 
 
-@pytest.mark.parametrize("ranks", RANK_COUNTS)
-def test_edist_at_rank_count(benchmark, ranks):
-    graph, truth = load_dataset("low_low", 200, seed=1)
+def _rank_run(graph, truth, ranks):
+    """One lanes-enabled EDiSt run at *ranks* ranks."""
     # observability on: the lanes' simulated parallel clock is the
     # strong-scaling measurement (tracing never perturbs the RNG, so
     # the partition is byte-identical to an untraced run)
@@ -65,22 +73,33 @@ def test_edist_at_rank_count(benchmark, ranks):
         observability=config.observability.replace(enabled=True)
     )
     partitioner = EDiStPartitioner(config, num_ranks=ranks)
-    result = pedantic_once(benchmark, partitioner.partition, graph)
+    result = partitioner.partition(graph)
     lanes = partitioner.lanes
     summary = lanes.summary()
-    _RESULTS[ranks] = (
-        partitioner.comm.bytes_sent,
-        partitioner.comm.messages,
-        nmi(result.partition, truth),
-        result.total_time_s,
-        {
-            "lane_wall_s": lanes.clock_s,
-            "rounds": len(lanes.rounds),
-            "imbalance": summary["imbalance"],
-            "compute_s": summary["critical_path"]["compute_s"],
-            "comm_s": summary["critical_path"]["comm_s"],
-        },
-    )
+    return {
+        "bytes_sent": partitioner.comm.bytes_sent,
+        "messages": partitioner.comm.messages,
+        "nmi": nmi(result.partition, truth),
+        "runtime_s": result.total_time_s,
+        "lane_wall_s": lanes.clock_s,
+        "rounds": len(lanes.rounds),
+        "imbalance": summary["imbalance"],
+        "compute_s": summary["critical_path"]["compute_s"],
+        "comm_s": summary["critical_path"]["comm_s"],
+    }
+
+
+def test_edist_rank_sweep(benchmark):
+    graph, truth = load_dataset("low_low", 200, seed=1)
+
+    def sweep():
+        for _ in range(REPEATS):
+            for ranks in RANK_COUNTS:
+                _RESULTS.setdefault(ranks, []).append(
+                    _rank_run(graph, truth, ranks)
+                )
+
+    pedantic_once(benchmark, sweep)
 
 
 @pytest.mark.parametrize("scenario", sorted(FAULT_SCENARIOS))
@@ -109,38 +128,60 @@ def test_edist_comm_fault_matrix(benchmark, scenario):
 
 def test_zzz_report(benchmark, capsys):
     assert set(_RESULTS) == set(RANK_COUNTS)
+    assert all(len(runs) == REPEATS for runs in _RESULTS.values())
     assert set(_FAULT_RESULTS) == set(FAULT_SCENARIOS)
+    # every repeat draws the same partition: only the clocks move
+    for runs in _RESULTS.values():
+        for key in ("bytes_sent", "messages", "nmi", "rounds"):
+            assert len({run[key] for run in runs}) == 1, key
     rows = pedantic_once(
-        benchmark, lambda: [(k, *_RESULTS[k]) for k in sorted(_RESULTS)]
+        benchmark,
+        lambda: [(k, _RESULTS[k][0]["bytes_sent"], _RESULTS[k][0]["messages"],
+                  _RESULTS[k][0]["nmi"]) for k in sorted(_RESULTS)],
     )
     fault_rows = [(k, _FAULT_RESULTS[k]) for k in sorted(_FAULT_RESULTS)]
-    # strong-scaling curve off the simulated parallel lane clock
-    base_wall = _RESULTS[1][4]["lane_wall_s"]
+    # strong-scaling curve off the simulated parallel lane clock: repeat
+    # k's speedup pairs its own 1-rank and r-rank runs
+    samples = {}
     scaling_points = []
     for ranks in sorted(_RESULTS):
-        lane = _RESULTS[ranks][4]
-        speedup = base_wall / lane["lane_wall_s"]
+        runs = _RESULTS[ranks]
+        speedups = [
+            one["lane_wall_s"] / run["lane_wall_s"]
+            for one, run in zip(_RESULTS[1], runs)
+        ]
+        samples[str(ranks)] = {
+            "lane_wall_s": [run["lane_wall_s"] for run in runs],
+            "speedup": speedups,
+            "imbalance": [run["imbalance"] for run in runs],
+            "compute_s": [run["compute_s"] for run in runs],
+            "comm_s": [run["comm_s"] for run in runs],
+        }
+        median = {k: statistics.median(v) for k, v in samples[str(ranks)].items()}
         scaling_points.append({
             "value": ranks,
-            "lane_wall_s": lane["lane_wall_s"],
-            "speedup": speedup,
-            "efficiency": speedup / ranks,
-            "imbalance": lane["imbalance"],
-            "rounds": lane["rounds"],
-            "compute_s": lane["compute_s"],
-            "comm_s": lane["comm_s"],
+            "repeats": len(runs),
+            "lane_wall_s": median["lane_wall_s"],
+            "speedup": median["speedup"],
+            "speedup_min": min(speedups),
+            "speedup_max": max(speedups),
+            "efficiency": median["speedup"] / ranks,
+            "imbalance": median["imbalance"],
+            "rounds": runs[0]["rounds"],
+            "compute_s": median["compute_s"],
+            "comm_s": median["comm_s"],
         })
     write_bench_record(
         "ablation_distributed",
         [
             ablation_workload(
                 f"EDiSt/low_low/200#ranks={ranks}",
-                runtime_s=[runtime],
+                runtime_s=[run["runtime_s"] for run in _RESULTS[ranks]],
                 algorithm="EDiSt", category="low_low", num_vertices=200,
                 variant=f"ranks={ranks}",
-                quality={"nmi": [quality]},
+                quality={"nmi": [run["nmi"] for run in _RESULTS[ranks]]},
             )
-            for ranks, _nbytes, _messages, quality, runtime, _lane in rows
+            for ranks in sorted(_RESULTS)
         ] + [
             ablation_workload(
                 f"EDiSt/low_low/200#fault={scenario}",
@@ -151,11 +192,12 @@ def test_zzz_report(benchmark, capsys):
             )
             for scenario, m in fault_rows
         ],
-        seed=4, label="edist_all_to_all_volume",
+        seed=4, repeats=REPEATS, label="edist_all_to_all_volume",
         scaling={"dimension": "ranks", "points": scaling_points},
         extras={
-            "bytes_on_wire": {str(r): n for r, n, _, _, _, _ in rows},
-            "messages": {str(r): m for r, _, m, _, _, _ in rows},
+            "bytes_on_wire": {str(r): n for r, n, _, _ in rows},
+            "messages": {str(r): m for r, _, m, _ in rows},
+            "scaling_samples": samples,
             "fault_matrix": {
                 scenario: {
                     "faults_injected": m["faults"],
@@ -176,14 +218,17 @@ def test_zzz_report(benchmark, capsys):
               "(low_low, 200 vertices)\n")
         print("| ranks | bytes on wire | messages | NMI |")
         print("|---|---|---|---|")
-        for ranks, nbytes, messages, quality, _runtime, _lane in rows:
+        for ranks, nbytes, messages, quality in rows:
             print(f"| {ranks} | {nbytes:,} | {messages:,} | {quality:.3f} |")
-        print("\n### Strong scaling (simulated parallel lane clock)\n")
-        print("| ranks | lane wall s | speedup | efficiency | imbalance |")
+        print("\n### Strong scaling (simulated parallel lane clock, "
+              f"median of {REPEATS} repeats)\n")
+        print("| ranks | lane wall s | speedup [min–max] | efficiency "
+              "| imbalance |")
         print("|---|---|---|---|---|")
         for pt in scaling_points:
             print(f"| {pt['value']} | {pt['lane_wall_s']:.4f} | "
-                  f"{pt['speedup']:.2f} | {pt['efficiency']:.2f} | "
+                  f"{pt['speedup']:.2f} [{pt['speedup_min']:.2f}–"
+                  f"{pt['speedup_max']:.2f}] | {pt['efficiency']:.2f} | "
                   f"{pt['imbalance']:.3f} |")
         print("\n### Comm fault matrix (EDiSt, 4 ranks)\n")
         print("| scenario | faults | retransmits | crashes | NMI | MDL |")
@@ -192,7 +237,7 @@ def test_zzz_report(benchmark, capsys):
             print(f"| {scenario} | {m['faults']} | {m['retransmits']} | "
                   f"{m['crashes']} | {m['nmi']:.3f} | {m['mdl']:.1f} |")
     # communication grows with rank count; quality does not improve
-    volumes = [v for _, v, _, _, _, _ in rows]
+    volumes = [v for _, v, _, _ in rows]
     assert volumes == sorted(volumes)
     assert volumes[-1] > volumes[1] > volumes[0] == 0
     # the scaling curve must be sane: the 1-rank point is the speedup

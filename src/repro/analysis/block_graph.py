@@ -45,9 +45,6 @@ class BlockGraph:
         hit = nbr == block
         return int(wgt[hit].sum())
 
-    def total_intra_weight(self) -> int:
-        return sum(self.intra_weight(b) for b in range(self.num_blocks))
-
 
 def quotient_graph(graph: DiGraphCSR, partition: IndexArray) -> BlockGraph:
     """Collapse *graph* onto the blocks of *partition*."""

@@ -7,8 +7,9 @@ from typing import List
 
 import numpy as np
 
-from ..blockmodel.dense import DenseBlockmodel
 from ..blockmodel.entropy import description_length
+from ..blockmodel.update import rebuild_blockmodel
+from ..gpusim.device import Device
 from ..graph.csr import DiGraphCSR
 from ..types import IndexArray
 from .block_graph import quotient_graph
@@ -86,7 +87,7 @@ def summarize_partition(
         )
     total_weight = graph.total_edge_weight
     if b:
-        model = DenseBlockmodel.from_graph(graph, partition, b)
+        model = rebuild_blockmodel(Device(), graph, partition, b)
         mdl = description_length(model, graph.num_vertices, total_weight)
     else:
         mdl = 0.0

@@ -1,11 +1,7 @@
 """CPU baseline partitioners modelled on the paper's comparison systems."""
 
-from .common import (
-    CPUSBPEngine,
-    hastings_correction_dense,
-    propose_from_blockmodel,
-    vertex_neighborhood,
-)
+from ..blockmodel.delta import hastings_correction_dense
+from .common import CPUSBPEngine, propose_from_blockmodel, vertex_neighborhood
 from .edist import CommStats, EDiStPartitioner
 from .isbp import ISBPPartitioner, extend_partition, sample_subgraph
 from .reference import ReferenceSBP

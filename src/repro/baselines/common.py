@@ -2,12 +2,20 @@
 
 The baselines model the paper's comparison systems (uSAP, I-SBP and the
 GraphChallenge reference they both descend from): sequential or
-coarsely-batched MCMC over a *dense* blockmodel updated in place after
-every batch of moves.  Where GSAP evaluates every proposal of a phase in
-one batched device pass, these engines draw proposals one vertex at a
-time and refresh the blockmodel after every batch — one vertex for the
+coarsely-batched MCMC that refreshes the blockmodel after every batch
+of moves.  Where GSAP evaluates every proposal of a phase in one
+batched device pass, these engines draw proposals one vertex at a time
+and refresh the blockmodel after every batch — one vertex for the
 reference's serial chain, a wave of vertices for uSAP and I-SBP.  Each
 batch is scored by the one vertex-move body of :mod:`.moves`.
+
+The blockmodel is GSAP's :class:`~repro.blockmodel.blockmodel.BlockmodelCSR`,
+kept exactly as GSAP's plateau keeps it: Algorithm 2
+(:func:`~repro.blockmodel.update.rebuild_blockmodel`) at each plateau
+start, then :class:`~repro.blockmodel.incremental.IncrementalBlockmodel`
+after every merge round and every accepted batch.  Those kernels run on
+a private simulated device made inside each :meth:`CPUSBPEngine.partition`
+call; its clock is not reported.
 
 The substitution note of DESIGN.md §2 applies: the paper's baselines are
 C++ with 20 CPU threads; ours are Python loops.  Both sit on the
@@ -26,61 +34,35 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..blockmodel.blockmodel import BlockmodelCSR
-from ..blockmodel.delta import (
-    VertexNeighborhood,
-    _move_new_rows_cols_dense,
-    merge_delta_cells,
-)
+from ..blockmodel.delta import merge_delta_cells
 # Unused here; kept as a module attribute so tools that wrap the
 # block-merge entry points by name still find it.
 from ..blockmodel.delta import merge_delta_dense  # noqa: F401
-from ..blockmodel.dense import DenseBlockmodel
 from ..blockmodel.entropy import description_length
+from ..blockmodel.incremental import IncrementalBlockmodel
+from ..blockmodel.update import rebuild_blockmodel
 from ..config import SBPConfig
+from ..core.block_merge import apply_merges_with_relabel
 from ..core.golden_section import GoldenSectionSearch
 from ..core.result import PartitionResult
 from ..core.state import PartitionSnapshot, PhaseTimings, ProposalStats
 from ..core.vertex_move import sweep_converged
 from ..errors import PartitionError
+from ..gpusim.device import Device
 from ..graph.csr import DiGraphCSR
 from ..logging_util import get_logger
 from ..rng import StreamFactory
-from ..types import FLOAT_DTYPE, INDEX_DTYPE
+from ..types import INDEX_DTYPE
 # Merge proposals look propose_from_blockmodel up here; vertex moves
 # call it inside .moves.  vertex_neighborhood is re-exported.
-from .moves import FrozenRows, apply_moves, propose_from_blockmodel, score_moves
+from .moves import FrozenRows, apply_accepted, propose_from_blockmodel, score_moves
 from .moves import vertex_neighborhood  # noqa: F401
 
 logger = get_logger("baselines")
 
 
-def hastings_correction_dense(
-    model: DenseBlockmodel,
-    r: int,
-    s: int,
-    nbhd: VertexNeighborhood,
-) -> float:
-    """``p_backward / p_forward`` for one sequential move (see core.mh)."""
-    t = np.concatenate([nbhd.k_out_blocks, nbhd.k_in_blocks])
-    w = np.concatenate([nbhd.k_out_weights, nbhd.k_in_weights]).astype(FLOAT_DTYPE)
-    if len(t) == 0:
-        return 1.0
-    b = model.num_blocks
-    m = model.matrix
-    deg = (model.deg_out + model.deg_in).astype(FLOAT_DTYPE)
-    fwd = (w * (m[t, s] + m[s, t] + 1.0) / (deg[t] + b)).sum()
-    row_r, _row_s, col_r, _col_s, d_out_new, d_in_new = _move_new_rows_cols_dense(
-        model, r, s, nbhd
-    )
-    deg_new = d_out_new + d_in_new
-    bwd = (w * (col_r[t] + row_r[t] + 1.0) / (deg_new[t] + b)).sum()
-    if fwd <= 0 or bwd <= 0:
-        return 1.0
-    return float(bwd / fwd)
-
-
 def _draw_merge_targets(
-    model: DenseBlockmodel, rng: np.random.Generator, num_proposals: int
+    model: BlockmodelCSR, rng: np.random.Generator, num_proposals: int
 ) -> np.ndarray:
     """Every block's merge proposals for one round, block by block.
 
@@ -123,9 +105,6 @@ class CPUSBPEngine:
     """
 
     name = "cpu-sbp"
-    #: dense blockmodels are quadratic in the *initial* block count; guard
-    #: against accidentally launching an infeasible run.
-    max_dense_blocks = 20_000
 
     def __init__(self, config: Optional[SBPConfig] = None,
                  max_plateaus: int = 128) -> None:
@@ -163,13 +142,9 @@ class CPUSBPEngine:
         bmap = self.initial_partition(graph, streams.get("init"))
         bmap = np.unique(bmap, return_inverse=True)[1].astype(INDEX_DTYPE)
         num_blocks = int(bmap.max()) + 1
-        if num_blocks > self.max_dense_blocks:
-            raise PartitionError(
-                f"{self.name}: initial block count {num_blocks} exceeds the "
-                f"dense-blockmodel guard ({self.max_dense_blocks}); use GSAP "
-                "for graphs this large"
-            )
-        model = DenseBlockmodel.from_graph(graph, bmap, num_blocks)
+        device = Device()
+        incremental = IncrementalBlockmodel(device, graph)
+        model = rebuild_blockmodel(device, graph, bmap, num_blocks)
         initial_mdl = description_length(model, num_vertices, total_weight)
         search = GoldenSectionSearch(
             reduction_rate=config.num_blocks_reduction_rate,
@@ -187,11 +162,13 @@ class CPUSBPEngine:
                 break
             target, resume = search.next_target()
             bmap = resume.bmap.copy()
-            model = DenseBlockmodel.from_graph(graph, bmap, resume.num_blocks)
+            incremental.reset(
+                rebuild_blockmodel(device, graph, bmap, resume.num_blocks)
+            )
 
             t0 = time.perf_counter()
             bmap, model, merge_props, merge_prop_time = self._merge_phase(
-                model, bmap, target, streams.next_in_sequence("merge"), graph
+                incremental, bmap, target, streams.next_in_sequence("merge")
             )
             timings.block_merge_s += time.perf_counter() - t0
             stats.merge_proposals += merge_props
@@ -204,7 +181,7 @@ class CPUSBPEngine:
             )
             t0 = time.perf_counter()
             move_result = self._move_phase(
-                graph, model, bmap, streams.next_in_sequence("move"),
+                incremental, bmap, streams.next_in_sequence("move"),
                 threshold, initial_mdl,
             )
             timings.vertex_move_s += time.perf_counter() - t0
@@ -238,12 +215,11 @@ class CPUSBPEngine:
     # ------------------------------------------------------------------
     def _merge_phase(
         self,
-        model: DenseBlockmodel,
+        incremental: IncrementalBlockmodel,
         bmap: np.ndarray,
         target: int,
         rng: np.random.Generator,
-        graph: DiGraphCSR,
-    ) -> Tuple[np.ndarray, DenseBlockmodel, int, float]:
+    ) -> Tuple[np.ndarray, BlockmodelCSR, int, float]:
         """Draw every block's merge proposals, score the round in one
         touched-cell call, then apply the cheapest.
 
@@ -251,11 +227,13 @@ class CPUSBPEngine:
         before the next block's consumes the generator exactly as scoring
         each proposal on drawing would.  The whole ``(B, num_proposals)``
         round is then scored by one
-        :func:`~repro.blockmodel.delta.merge_delta_cells` call on a CSR
-        view of the dense model; each block keeps its first strict
-        minimum.
+        :func:`~repro.blockmodel.delta.merge_delta_cells` call on the
+        blockmodel *incremental* tracks; each block keeps its first
+        strict minimum.  The applied merges collapse that blockmodel
+        with :meth:`~repro.blockmodel.incremental.IncrementalBlockmodel.apply_merge_relabel`.
         """
         config = self.config
+        model = incremental.blockmodel
         proposals_evaluated = 0
         proposal_time = 0.0
         guard = 0
@@ -268,7 +246,7 @@ class CPUSBPEngine:
             targets = _draw_merge_targets(model, rng, config.num_proposals)
             proposers = np.repeat(np.arange(b, dtype=INDEX_DTYPE), targets.shape[1])
             deltas = merge_delta_cells(
-                BlockmodelCSR.from_dense(model.matrix), proposers, targets.ravel()
+                model, proposers, targets.ravel()
             ).reshape(targets.shape)
             proposals_evaluated += targets.size
             first_min = deltas.argmin(axis=1)  # first strict minimum per block
@@ -277,20 +255,17 @@ class CPUSBPEngine:
             best_proposal = targets[blocks, first_min]
             proposal_time += time.perf_counter() - t0
             # apply the (b - target) cheapest merges via union-find
-            from ..core.block_merge import apply_merges
-
-            bmap, new_b, applied = apply_merges(
+            bmap, new_b, applied, gmap = apply_merges_with_relabel(
                 bmap, b, best_delta, best_proposal, b - target
             )
             if applied == 0:
                 raise PartitionError("merge phase made no progress")
-            model = DenseBlockmodel.from_graph(graph, bmap, new_b)
+            model = incremental.apply_merge_relabel(gmap, new_b)
         return bmap, model, proposals_evaluated, proposal_time
 
     def _move_phase(
         self,
-        graph: DiGraphCSR,
-        model: DenseBlockmodel,
+        incremental: IncrementalBlockmodel,
         bmap: np.ndarray,
         rng: np.random.Generator,
         threshold: float,
@@ -298,6 +273,8 @@ class CPUSBPEngine:
     ) -> MovePhaseResult:
         """Sequential (or batched) MCMC sweeps until the MDL plateaus."""
         config = self.config
+        graph = incremental.graph
+        model = incremental.blockmodel
         num_vertices = graph.num_vertices
         total_weight = graph.total_edge_weight
         batch_size = max(1, self.move_batch_size(num_vertices))
@@ -317,7 +294,8 @@ class CPUSBPEngine:
                     rng, config.beta,
                 )
                 proposal_time += prop_s
-                accepted += len(apply_moves(graph, model, bmap, moves))
+                model = apply_accepted(incremental, bmap, moves)
+                accepted += len(moves)
             new_mdl = description_length(model, num_vertices, total_weight)
             delta_mdl, mdl = mdl - new_mdl, new_mdl
             if sweep_converged(window, delta_mdl, tolerance):

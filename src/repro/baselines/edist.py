@@ -16,13 +16,16 @@ retransmission, a heartbeat failure detector spots crashed ranks at the
 round barrier, and survivors re-shard and continue after a deterministic
 recovery audit.
 
-Rank-local evaluation is one call of the CPU engines' shared move body,
-:func:`~repro.baselines.moves.score_moves`, per shard against the
-replica frozen at round start: the proposals are drawn vertex by vertex,
-then the shard is scored in one pass by the host bodies GSAP's
-vertex-move kernels run.  Neither the replica nor ``Bmap`` changes
-before the apply phase, which hands the round's global move set to
-:func:`~repro.baselines.moves.apply_moves` in rank order.  Two oracles
+Each replica is GSAP's CSR blockmodel, kept as GSAP keeps it (see
+:mod:`.common`).  Rank-local evaluation is one call of the CPU engines'
+shared move body, :func:`~repro.baselines.moves.score_moves`, per shard
+against the replica frozen at round start: the proposals are drawn
+vertex by vertex, then the shard is scored in one pass by the host
+bodies GSAP's vertex-move kernels run.  Neither the replica nor
+``Bmap`` changes before the apply phase, which gathers the round's
+global move set in rank order and folds it into the replica with one
+:meth:`~repro.blockmodel.incremental.IncrementalBlockmodel.apply_batch`
+(:func:`~repro.baselines.moves.apply_accepted`).  Two oracles
 pin the distributed layer down (see ``docs/distributed.md``): a
 fault-free run is byte-identical to the direct in-process exchange, and
 recovery runs land within an MDL tolerance of fault-free ones.
@@ -38,8 +41,8 @@ from typing import Dict, List, Optional, Union
 
 import numpy as np
 
-from ..blockmodel.dense import DenseBlockmodel
 from ..blockmodel.entropy import description_length
+from ..blockmodel.incremental import IncrementalBlockmodel
 from ..config import SBPConfig
 from ..core.vertex_move import sweep_converged
 from ..dist import (
@@ -62,11 +65,10 @@ from ..obs import FlightRecorder, Observability
 from ..resilience.faults import FaultPlan
 from ..resilience.retry import FaultBudget, RetryPolicy
 from .common import CPUSBPEngine, MovePhaseResult
-from .moves import Move, apply_moves, score_moves
+from .moves import Move, apply_accepted, score_moves
 # Unused here; they stay module attributes so tools that wrap the EDiSt
 # entry points by name still find them.
-from ..blockmodel.delta import move_delta_dense  # noqa: F401
-from .common import hastings_correction_dense  # noqa: F401
+from ..blockmodel.delta import hastings_correction_dense, move_delta_dense  # noqa: F401
 from .moves import propose_from_blockmodel, vertex_neighborhood  # noqa: F401
 
 __all__ = ["CommStats", "DistStats", "EDiStPartitioner", "MOVE_RECORD_BYTES"]
@@ -85,7 +87,8 @@ class EDiStPartitioner(CPUSBPEngine):
         Optional :class:`~repro.resilience.faults.FaultPlan` whose
         communication faults (``msg_*``, ``rank_crash``) are injected
         into the interconnect.  Device fault kinds in the same plan are
-        ignored here (no simulated device is involved).
+        ignored here: the blockmodel kernels run on a private device
+        that no plan reaches.
     move_log_capacity:
         Rounds of applied moves the replicated recovery log retains
         before folding into its base snapshot.
@@ -252,14 +255,15 @@ class EDiStPartitioner(CPUSBPEngine):
 
     def _move_phase(
         self,
-        graph: DiGraphCSR,
-        model: DenseBlockmodel,
+        incremental: IncrementalBlockmodel,
         bmap: np.ndarray,
         rng: np.random.Generator,
         threshold: float,
         initial_mdl_scale: float,
     ) -> MovePhaseResult:
         config = self.config
+        graph = incremental.graph
+        model = incremental.blockmodel
         num_vertices = graph.num_vertices
         total_weight = graph.total_edge_weight
         comm = self._runtime
@@ -360,8 +364,9 @@ class EDiStPartitioner(CPUSBPEngine):
                         )
 
             # --- apply phase: every replica applies the global move set
-            # in rank order (the shared model/bmap stand in for the
-            # replicas, exactly like the sequential-rank substitution)
+            # in rank order as one batch (the shared model/bmap stand in
+            # for the replicas, exactly like the sequential-rank
+            # substitution)
             apply_t0 = time.perf_counter() if lanes else 0.0
             round_moves: List[Move] = []
             for rank in sorted(accepted_per_rank):
@@ -375,9 +380,9 @@ class EDiStPartitioner(CPUSBPEngine):
                     if received:
                         moves = unpack_moves(received)
                 round_moves.extend(moves)
-            applied = apply_moves(graph, model, bmap, round_moves)
-            accepted += len(applied)
-            ring.append(round_index, applied)
+            model = apply_accepted(incremental, bmap, round_moves)
+            accepted += len(round_moves)
+            ring.append(round_index, round_moves)
             if lanes:
                 lanes.record_round(
                     round_index=round_index, compute_s=compute_s,

@@ -2,17 +2,18 @@
 
 The reference, uSAP, I-SBP and every EDiSt rank propose moves vertex by
 vertex with the CPU rule, then score the batch in one pass against the
-blockmodel frozen at batch start (:func:`score_moves`, on the host body
-of GSAP's vertex-move scoring kernel) and apply the accepted moves in place
-(:func:`apply_moves`).  A batch of one is the serial MCMC chain.  The
+:class:`~repro.blockmodel.blockmodel.BlockmodelCSR` frozen at batch
+start (:func:`score_moves`, on the host body of GSAP's vertex-move
+scoring kernel) and fold the accepted moves into the blockmodel with
+GSAP's :meth:`~repro.blockmodel.incremental.IncrementalBlockmodel.apply_batch`
+(:func:`apply_accepted`).  A batch of one is the serial MCMC chain.  The
 acceptance uniform is drawn right after its proposal, only when
 ``s != r``, so the random stream is that of the per-vertex MH rule.
 
 The proposals of one batch (or one merge round) read a
 :class:`FrozenRows` cache of the frozen model, so each costs O(degree)
-host work, and :func:`apply_moves` takes a batch in one vectorised
-update; both give exactly the results of the per-call and per-move
-forms they replace.
+host work plus one O(B) running sum per distinct pivot block; the draws
+are exactly those of a search over the dense row + column.
 """
 
 from __future__ import annotations
@@ -25,16 +26,16 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..blockmodel.blockmodel import BlockmodelCSR
 from ..blockmodel.delta import (
     MoveDeltaContext,
     VertexNeighborhood,
     move_delta_hastings,
 )
-from ..blockmodel.dense import DenseBlockmodel
-from ..core.vertex_move import gather_adjacency_rows, move_context
-from ..errors import PartitionError
+from ..blockmodel.incremental import IncrementalBlockmodel
+from ..core.vertex_move import move_context
 from ..graph.csr import DiGraphCSR
-from ..types import FLOAT_DTYPE, INDEX_DTYPE
+from ..types import FLOAT_DTYPE, INDEX_DTYPE, WEIGHT_DTYPE
 
 #: an accepted vertex move: ``(vertex, source block, destination block)``
 Move = Tuple[int, int, int]
@@ -78,13 +79,14 @@ class FrozenRows:
 
     Holds the total degrees ``deg_out + deg_in``, computed once, and per
     pivot block ``u`` the running sum of row + column ``u`` as float64,
-    built the first time ``u`` is drawn.  Every count is an integer below
-    2**53, so each running sum holds exactly the floats a fresh
-    ``np.cumsum`` would.  Drop the object when its batch or round ends:
-    it does not follow later changes to the model.
+    scattered from out-row ``u`` and in-row ``u`` of the CSR the first
+    time ``u`` is drawn.  Every count is an integer below 2**53, so each
+    running sum holds exactly the floats ``np.cumsum`` of the dense row
+    + column would.  Drop the object when its batch or round ends: it
+    does not follow later changes to the model.
     """
 
-    def __init__(self, model: DenseBlockmodel) -> None:
+    def __init__(self, model: BlockmodelCSR) -> None:
         self.model = model
         self.deg = model.deg_out + model.deg_in
         self._cumsum: Dict[int, np.ndarray] = {}
@@ -93,13 +95,24 @@ class FrozenRows:
         """Running sum of row + column *u* over all ``B`` blocks."""
         run = self._cumsum.get(u)
         if run is None:
-            m = self.model.matrix
-            run = self._cumsum[u] = np.cumsum(m[u, :] + m[:, u], dtype=FLOAT_DTYPE)
+            m = self.model
+            row = np.zeros(m.num_blocks, dtype=WEIGHT_DTYPE)
+            lo, hi = m.out_ptr[u], m.out_ptr[u + 1]
+            row[m.out_nbr[lo:hi]] = m.out_wgt[lo:hi]
+            lo, hi = m.in_ptr[u], m.in_ptr[u + 1]
+            row[m.in_nbr[lo:hi]] += m.in_wgt[lo:hi]
+            run = self._cumsum[u] = np.cumsum(row, dtype=FLOAT_DTYPE)
         return run
+
+    @staticmethod
+    def step(run: np.ndarray, t: int) -> float:
+        """Entry *t* of the row + column that *run* sums: ``M[u, t] +
+        M[t, u]`` for ``run = cumsum(u)``."""
+        return run[t] - (run[t - 1] if t else 0.0)
 
 
 def propose_from_blockmodel(
-    model: DenseBlockmodel,
+    model: BlockmodelCSR,
     pivot_candidates: Sequence[int],
     pivot_cumsum: Sequence[float],
     rng: np.random.Generator,
@@ -134,8 +147,7 @@ def propose_from_blockmodel(
     if rng.random() <= b / (rows.deg[u] + b):
         return random_block()
     run = rows.cumsum(u)
-    m = model.matrix
-    excluded = 0 if exclude is None else m[u, exclude] + m[exclude, u]
+    excluded = 0 if exclude is None else rows.step(run, exclude)
     total = run[-1] - excluded
     if total <= 0:
         return random_block()
@@ -181,7 +193,7 @@ def _mover_pivots(
 
 def score_moves(
     graph: DiGraphCSR,
-    model: DenseBlockmodel,
+    model: BlockmodelCSR,
     bmap: np.ndarray,
     vertices: np.ndarray,
     rng: np.random.Generator,
@@ -221,65 +233,22 @@ def score_moves(
     return list(moves), proposal_time
 
 
-def apply_moves(
-    graph: DiGraphCSR,
-    model: DenseBlockmodel,
+def apply_accepted(
+    incremental: IncrementalBlockmodel,
     bmap: np.ndarray,
     moves: Sequence[Move],
-) -> List[Move]:
-    """Apply *moves* in order, in place; return the ones applied.
+) -> BlockmodelCSR:
+    """Apply one batch's accepted moves and return the new blockmodel.
 
-    Each vertex moves from its *current* block (skipped if already in
-    ``s``), so moves scored against a stale snapshot stay consistent.
-    The result is that of applying the moves one by one, but the model
-    takes the round's net change in one pass: each vertex whose block
-    changed moves its out-edges from the old row to the new row and its
-    in-edges from the old column to the new one, skipping in-edges whose
-    source moved too (that source's out-edges carry them).  Only the
-    touched cells are checked for a negative count.
+    Relabels the movers in *bmap* in place and folds the batch into the
+    blockmodel *incremental* tracks with one
+    :meth:`~repro.blockmodel.incremental.IncrementalBlockmodel.apply_batch`.
+    The moves are those :func:`score_moves` accepted (or an EDiSt
+    round's, gathered over the ranks): each vertex moves at most once,
+    from the block it was scored in.
     """
     if len(moves) == 0:
-        return []
-    v, _, s = np.array(moves, dtype=INDEX_DTYPE).T
-    # a vertex's block before one of its moves is the s of its previous
-    # move, or its bmap block before its first
-    order = v.argsort(kind="stable")
-    v_o, s_o = v[order], s[order]
-    head = np.empty(len(v) + 1, dtype=bool)  # a vertex's first move, or the end
-    head[0] = head[-1] = True
-    np.not_equal(v_o[1:], v_o[:-1], out=head[1:-1])
-    before = bmap[v_o]
-    before[1:] = np.where(head[1:-1], before[1:], s_o[:-1])
-    keep = np.empty(len(v), dtype=bool)
-    keep[order] = before != s_o
-    applied = [(a, b, c) for (a, b, c), k in zip(moves, keep.tolist()) if k]
-
-    # net change: each vertex ends in the block of its last move
-    movers, dest = v_o[head[1:]], s_o[head[1:]]
-    src = bmap[movers]
-    changed = src != dest
-    movers, src, dest = movers[changed], src[changed], dest[changed]
-    o_ptr, o_nbr, o_w = gather_adjacency_rows(graph.out_adj, movers)
-    i_ptr, i_nbr, i_w = gather_adjacency_rows(graph.in_adj, movers)
-    # every edge x -> y at a mover (its out-edges, then its in-edges)
-    # moves from cell (old[x], old[y]) to cell (new[x], new[y])
-    x = np.concatenate((movers.repeat(o_ptr[1:] - o_ptr[:-1]), i_nbr))
-    y = np.concatenate((o_nbr, movers.repeat(i_ptr[1:] - i_ptr[:-1])))
-    old_x, old_y = bmap[x], bmap[y]
-    bmap[movers] = dest
-    new_x, new_y = bmap[x], bmap[y]
-    # an in-edge from another mover is that mover's out-edge too: count
-    # it there only
-    n_out = len(o_nbr)
-    w = np.concatenate((o_w, i_w * (new_x[n_out:] == old_x[n_out:])))
-    rows = np.concatenate((old_x, new_x))
-    cols = np.concatenate((old_y, new_y))
-    weights = np.concatenate((-w, w))
-    m = model.matrix
-    np.add.at(m, (rows, cols), weights)
-    if len(rows) and m[rows, cols].min() < 0:
-        raise PartitionError("blockmodel update drove an entry negative")
-    # the degrees are the matrix's row and column sums
-    np.add.at(model.deg_out, rows, weights)
-    np.add.at(model.deg_in, cols, weights)
-    return applied
+        return incremental.blockmodel
+    v, r, s = np.array(moves, dtype=INDEX_DTYPE).T
+    bmap[v] = s
+    return incremental.apply_batch(bmap, v, r, s)

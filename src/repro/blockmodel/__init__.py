@@ -1,4 +1,4 @@
-"""Blockmodel package: CSR/dense blockmodels, entropy, ΔMDL, updates."""
+"""Blockmodel package: the CSR blockmodel (and its dense oracle), entropy, ΔMDL, updates."""
 
 from .blockmodel import BlockmodelCSR
 from .delta import (

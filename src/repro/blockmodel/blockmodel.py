@@ -48,7 +48,7 @@ class BlockmodelCSR:
 
     Instances are produced by :func:`repro.blockmodel.update.rebuild_blockmodel`
     (Algorithm 2), :class:`~repro.blockmodel.incremental.IncrementalBlockmodel`
-    or :meth:`from_dense`; they are treated as immutable — accepted moves
+    or, in tests, :meth:`from_dense`; they are treated as immutable — accepted moves
     build a new object, mirroring GSAP's GPU update path.  :meth:`lookup`
     relies on that: it caches its sorted keys and its ``B × B`` table on
     the object at first use.
@@ -191,7 +191,7 @@ class BlockmodelCSR:
 
     @classmethod
     def from_dense(cls, dense: np.ndarray) -> "BlockmodelCSR":
-        """Build from a dense matrix (tests and the reference baseline)."""
+        """Build from a dense matrix (tests and small hand-made models)."""
         dense = np.asarray(dense)
         if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
             raise GraphValidationError("blockmodel matrix must be square")

@@ -10,8 +10,8 @@ GraphChallenge reference implementation.
 Two implementations live here:
 
 * ``*_dense`` — straightforward formulas over whole rows and columns
-  of a :class:`DenseBlockmodel`; they are the oracles of the tests and
-  no engine calls them;
+  of a :class:`DenseBlockmodel`, with :func:`hastings_correction_dense`;
+  they are the oracles of the tests and no engine calls them;
 * :func:`merge_delta_cells` and :func:`move_delta_hastings`, with their
   ``*_batch`` launchers — the formulation every engine runs.  Both
   evaluate the data term's split ``Σ g(M) − Σ g(d_out) − Σ g(d_in)``
@@ -22,9 +22,9 @@ Two implementations live here:
   the two degree pairs.  The move body returns each mover's Hastings
   correction with its ΔS, read off the same cell lookups.  GSAP
   launches them on the simulated device; the CPU baselines call the
-  host bodies directly — :func:`move_delta_hastings` on their
-  :class:`DenseBlockmodel` replicas, :func:`merge_delta_cells` once per
-  merge round on a CSR view of them.
+  host bodies directly on the same :class:`BlockmodelCSR` —
+  :func:`move_delta_hastings` once per batch, :func:`merge_delta_cells`
+  once per merge round.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from .entropy import entropy_terms
 __all__ = [
     "merge_delta_dense",
     "move_delta_dense",
+    "hastings_correction_dense",
     "MoveDeltaContext",
     "precompute_block_term_sums",
     "merge_delta_batch",
@@ -210,6 +211,34 @@ def move_delta_dense(
         + entropy_terms(col_s[col_keep], d_out_new[col_keep], np.full(nkeep, d_in_new[s])).sum()
     )
     return float(old - new)
+
+
+def hastings_correction_dense(
+    model: DenseBlockmodel,
+    r: int,
+    s: int,
+    nbhd: VertexNeighborhood,
+) -> float:
+    """``p_backward / p_forward`` for one sequential move (see core.mh).
+
+    The oracle of the Hastings half of :func:`move_delta_hastings`.
+    """
+    t = np.concatenate([nbhd.k_out_blocks, nbhd.k_in_blocks])
+    w = np.concatenate([nbhd.k_out_weights, nbhd.k_in_weights]).astype(FLOAT_DTYPE)
+    if len(t) == 0:
+        return 1.0
+    b = model.num_blocks
+    m = model.matrix
+    deg = (model.deg_out + model.deg_in).astype(FLOAT_DTYPE)
+    fwd = (w * (m[t, s] + m[s, t] + 1.0) / (deg[t] + b)).sum()
+    row_r, _row_s, col_r, _col_s, d_out_new, d_in_new = _move_new_rows_cols_dense(
+        model, r, s, nbhd
+    )
+    deg_new = d_out_new + d_in_new
+    bwd = (w * (col_r[t] + row_r[t] + 1.0) / (deg_new[t] + b)).sum()
+    if fwd <= 0 or bwd <= 0:
+        return 1.0
+    return float(bwd / fwd)
 
 
 # ======================================================================
@@ -440,8 +469,9 @@ def move_delta_hastings(
     phase.
 
     This is the host body of :func:`move_delta_batch`; it needs only
-    ``bm.lookup``, the degree arrays and ``bm.num_blocks``, so the CSR
-    blockmodel and the CPU baselines' :class:`DenseBlockmodel` share it.
+    ``bm.lookup``, the degree arrays and ``bm.num_blocks``, so the
+    :class:`DenseBlockmodel` oracle can stand in for the CSR
+    blockmodel.
     """
     r, s = ctx.r, ctx.s
     p = ctx.num_movers

@@ -1,9 +1,11 @@
-"""Mutable dense blockmodel used by the CPU reference baseline.
+"""Mutable dense blockmodel: the test oracle of the CSR blockmodel.
 
 The GraphChallenge reference implementation keeps ``M`` as a dense matrix
 updated in place after every accepted move.  :class:`DenseBlockmodel`
-reproduces that representation; it also serves as the test oracle for the
-CSR blockmodel and for Algorithm 2's rebuild.
+reproduces that representation.  No engine runs on it: every engine
+keeps GSAP's :class:`~repro.blockmodel.blockmodel.BlockmodelCSR`, and
+this class is the oracle of that blockmodel, of Algorithm 2's rebuild,
+of the incremental maintenance and of the ``*_dense`` ΔMDL formulas.
 """
 
 from __future__ import annotations
@@ -67,8 +69,8 @@ class DenseBlockmodel:
         return self.matrix[rows, cols]
 
     # ------------------------------------------------------------------
-    # in-place mutations (the CPU update path the paper's Fig. 12
-    # benchmarks GSAP's rebuild against)
+    # in-place mutations (the per-move update of the reference
+    # implementation, kept as an oracle)
     # ------------------------------------------------------------------
     def apply_merge(self, source: int, target: int) -> None:
         """Merge block *source* into *target* (source row/col zeroed).
@@ -101,9 +103,9 @@ class DenseBlockmodel:
     ) -> None:
         """Move one vertex from block *r* to block *s* (in place).
 
-        The CPU engines apply a batch of moves in one pass
-        (:func:`repro.baselines.moves.apply_moves`); this per-move form
-        is its test oracle.
+        The engines fold a batch of moves into their CSR blockmodel in
+        one :meth:`~repro.blockmodel.incremental.IncrementalBlockmodel.apply_batch`;
+        this per-move form is its test oracle.
 
         Parameters
         ----------

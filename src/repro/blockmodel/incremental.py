@@ -411,7 +411,7 @@ class IncrementalBlockmodel:
         """Collapse the tracked blockmodel under a block relabelling.
 
         *gmap* maps every old block id to its dense post-merge id (the
-        ``remap[labels]`` of :func:`~repro.core.block_merge.apply_merges`).
+        ``gmap`` of :func:`~repro.core.block_merge.apply_merges_with_relabel`).
         Re-keys the mirrored cells and sort-reduces them —
         O(nnz log nnz) instead of Algorithm 2's O(E log E) — and folds
         the degree arrays with two histograms.  The sorted result is the

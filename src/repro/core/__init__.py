@@ -2,7 +2,7 @@
 
 from .block_merge import (
     BlockMergeOutcome,
-    apply_merges,
+    apply_merges_with_relabel,
     run_block_merge_phase,
     select_best_proposals,
 )
@@ -29,7 +29,7 @@ from .vertex_move import (
 
 __all__ = [
     "BlockMergeOutcome",
-    "apply_merges",
+    "apply_merges_with_relabel",
     "run_block_merge_phase",
     "select_best_proposals",
     "GoldenSectionSearch",

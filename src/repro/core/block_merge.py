@@ -138,24 +138,6 @@ def apply_merges_with_relabel(
     return new_bmap, len(used), applied, gmap
 
 
-def apply_merges(
-    bmap: IndexArray,
-    num_blocks: int,
-    best_delta: np.ndarray,
-    best_proposal: np.ndarray,
-    num_to_merge: int,
-) -> Tuple[IndexArray, int, int]:
-    """CPU perform-merge step: apply the *num_to_merge* cheapest merges.
-
-    Returns ``(new_bmap, new_num_blocks, merges_applied)`` with dense
-    block labels.
-    """
-    new_bmap, new_b, applied, _gmap = apply_merges_with_relabel(
-        bmap, num_blocks, best_delta, best_proposal, num_to_merge
-    )
-    return new_bmap, new_b, applied
-
-
 def run_block_merge_phase(
     device: Device,
     graph: DiGraphCSR,

@@ -16,7 +16,6 @@ both writers round-trip exactly.
 from __future__ import annotations
 
 import gzip
-import io
 import os
 from pathlib import Path
 from typing import IO, Tuple, Union
@@ -157,16 +156,6 @@ def load_graph_with_truth(
         truth_path, num_vertices=graph.num_vertices, one_based=one_based
     )
     return graph, truth
-
-
-def edge_list_to_string(graph: DiGraphCSR, one_based: bool = True) -> str:
-    """Render *graph* as a TSV edge-list string (mainly for tests)."""
-    buf = io.StringIO()
-    offset = 1 if one_based else 0
-    src, dst, wgt = graph.edge_arrays()
-    for s, d, w in zip(src + offset, dst + offset, wgt):
-        buf.write(f"{s}\t{d}\t{w}\n")
-    return buf.getvalue()
 
 
 # ----------------------------------------------------------------------

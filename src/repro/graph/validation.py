@@ -66,11 +66,3 @@ def graph_summary(graph: DiGraphCSR) -> dict:
         ),
     }
 
-
-def assert_same_vertex_count(graph: DiGraphCSR, partition: IndexArray) -> None:
-    """Raise unless *partition* covers exactly *graph*'s vertices."""
-    if len(partition) != graph.num_vertices:
-        raise GraphValidationError(
-            f"partition covers {len(partition)} vertices, graph has "
-            f"{graph.num_vertices}"
-        )

@@ -11,9 +11,6 @@ from __future__ import annotations
 import json
 import logging
 import sys
-import time
-from contextlib import contextmanager
-from typing import Iterator
 
 LOGGER_NAME = "repro"
 
@@ -90,12 +87,3 @@ def enable_verbose_logging(level: int = logging.INFO) -> None:
         handler._repro_managed = True  # type: ignore[attr-defined]
         logger.addHandler(handler)
 
-
-@contextmanager
-def log_duration(logger: logging.Logger, label: str) -> Iterator[None]:
-    """Log the wall-clock duration of the enclosed block at DEBUG level."""
-    start = time.perf_counter()
-    try:
-        yield
-    finally:
-        logger.debug("%s took %.3fs", label, time.perf_counter() - start)

@@ -3,7 +3,6 @@
 from .ari import ari
 from .nmi import contingency_table, entropy_of_counts, mutual_information, nmi
 from .pairwise import PairwiseScores, pairwise_scores
-from .vmeasure import VMeasureScores, v_measure
 
 __all__ = [
     "ari",
@@ -13,6 +12,4 @@ __all__ = [
     "nmi",
     "PairwiseScores",
     "pairwise_scores",
-    "VMeasureScores",
-    "v_measure",
 ]

@@ -103,8 +103,8 @@ class CompareReport:
     #: neither side is judged
     missing_kernels: Dict[str, List[str]] = field(default_factory=dict)
     new_kernels: Dict[str, List[str]] = field(default_factory=dict)
-    #: advisory drift notes on the scaling curves (single measurements
-    #: per point — no statistical gate, so they never fail the run)
+    #: advisory drift notes on the scaling curves (one value per point
+    #: and field — no statistical gate, so they never fail the run)
     scaling_warnings: List[str] = field(default_factory=list)
     options: CompareOptions = field(default_factory=CompareOptions)
 
@@ -155,10 +155,10 @@ def _compare_scaling(
 ) -> List[str]:
     """Advisory diff of the optional ``scaling`` curve sections.
 
-    Each point carries one measurement (a strong-scaling sweep runs a
-    rank count once), so there is no distribution to rank-test —
-    drift beyond the tolerance is reported as a warning rather than a
-    gating verdict.
+    Each point carries one value per curve field (a median where the
+    sweep repeats), not a distribution to rank-test, so drift beyond
+    the tolerance is reported as a warning rather than a gating
+    verdict.
     """
     base = baseline.get("scaling")
     cand = candidate.get("scaling")
@@ -316,7 +316,7 @@ def compare_markdown(report: CompareReport) -> str:
             or report.missing_kernels or report.new_kernels):
         lines.append("")
     if report.scaling_warnings:
-        lines.append("Scaling-curve drift (advisory — single measurements):")
+        lines.append("Scaling-curve drift (advisory — no statistical gate):")
         for warning in report.scaling_warnings:
             lines.append(f"- {warning}")
         lines.append("")

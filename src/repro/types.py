@@ -39,7 +39,3 @@ def as_weight_array(values: ArrayLike) -> WeightArray:
     """Coerce *values* to a contiguous int64 weight array."""
     return np.ascontiguousarray(values, dtype=WEIGHT_DTYPE)
 
-
-def as_float_array(values: ArrayLike) -> FloatArray:
-    """Coerce *values* to a contiguous float64 array."""
-    return np.ascontiguousarray(values, dtype=FLOAT_DTYPE)

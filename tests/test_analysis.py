@@ -35,7 +35,6 @@ class TestQuotientGraph:
     def test_intra_weight(self, tiny_graph):
         bg = quotient_graph(tiny_graph, np.array([0, 1, 0, 1]))
         assert bg.intra_weight(0) == 8  # 0->0 (3) + 0->2 (5)
-        assert bg.total_intra_weight() == 9
 
     def test_empty_graph(self):
         bg = quotient_graph(build_graph([], [], num_vertices=0),

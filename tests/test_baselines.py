@@ -14,7 +14,7 @@ from repro.baselines import (
     scc_initial_partition,
     vertex_neighborhood,
 )
-from repro.blockmodel.dense import DenseBlockmodel
+from repro.blockmodel.blockmodel import BlockmodelCSR
 from repro.config import SBPConfig
 from repro.errors import PartitionError
 from repro.graph.builder import build_graph
@@ -57,7 +57,7 @@ class TestVertexNeighborhood:
 
 class TestProposeFromBlockmodel:
     def model(self):
-        return DenseBlockmodel(
+        return BlockmodelCSR.from_dense(
             np.array([[4, 2, 0], [1, 3, 2], [0, 5, 1]], dtype=np.int64)
         )
 
@@ -101,13 +101,6 @@ class TestReferenceSBP:
             build_graph([], [], num_vertices=0)
         )
         assert result.num_blocks == 0
-
-    def test_dense_guard(self, quick_config):
-        engine = ReferenceSBP(quick_config)
-        engine.max_dense_blocks = 10
-        graph, _ = load_dataset("low_low", 120, seed=2)
-        with pytest.raises(PartitionError):
-            engine.partition(graph)
 
     def test_deterministic(self, bench_graph, quick_config):
         graph, _ = bench_graph

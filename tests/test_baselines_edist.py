@@ -110,22 +110,22 @@ class TestEDiSt:
     def test_move_phase_reports_applied_moves(
         self, bench_graph, quick_config, monkeypatch
     ):
-        from repro.baselines import edist
+        from repro.blockmodel.incremental import IncrementalBlockmodel
 
         applied, reported = [], []
-        apply_moves, move_phase = edist.apply_moves, EDiStPartitioner._move_phase
+        apply_batch = IncrementalBlockmodel.apply_batch
+        move_phase = EDiStPartitioner._move_phase
 
-        def counted_apply(*args):
-            out = apply_moves(*args)
-            applied.append(len(out))
-            return out
+        def counted_apply(self, bmap, movers, *args, **kwargs):
+            applied.append(len(movers))
+            return apply_batch(self, bmap, movers, *args, **kwargs)
 
         def counted_phase(self, *args):
             result = move_phase(self, *args)
             reported.append(result.num_moves_accepted)
             return result
 
-        monkeypatch.setattr(edist, "apply_moves", counted_apply)
+        monkeypatch.setattr(IncrementalBlockmodel, "apply_batch", counted_apply)
         monkeypatch.setattr(EDiStPartitioner, "_move_phase", counted_phase)
         EDiStPartitioner(quick_config, num_ranks=2).partition(bench_graph[0])
         assert sum(reported) == sum(applied) > 0

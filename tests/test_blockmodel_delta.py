@@ -11,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import graphs_with_partitions
-from repro.baselines.common import hastings_correction_dense
 from repro.blockmodel.blockmodel import BlockmodelCSR
 from repro.blockmodel.delta import (
+    hastings_correction_dense,
     VertexNeighborhood,
     merge_delta_batch,
     merge_delta_dense,

@@ -8,7 +8,7 @@ from repro.blockmodel.update import rebuild_blockmodel
 from repro.config import SBPConfig
 from repro.core.block_merge import (
     _UnionFind,
-    apply_merges,
+    apply_merges_with_relabel,
     run_block_merge_phase,
     select_best_proposals,
 )
@@ -57,7 +57,9 @@ class TestApplyMerges:
         bmap = np.arange(4)
         best_delta = np.array([3.0, 1.0, 2.0, 9.0])
         best_prop = np.array([1, 2, 3, 0])
-        new_bmap, new_b, applied = apply_merges(bmap, 4, best_delta, best_prop, 1)
+        new_bmap, new_b, applied, _ = apply_merges_with_relabel(
+            bmap, 4, best_delta, best_prop, 1
+        )
         assert applied == 1
         assert new_b == 3
         # the cheapest merge is block 1 -> 2
@@ -65,7 +67,9 @@ class TestApplyMerges:
 
     def test_zero_merges_noop(self):
         bmap = np.arange(3)
-        out, b, applied = apply_merges(bmap, 3, np.zeros(3), np.arange(3), 0)
+        out, b, applied, _ = apply_merges_with_relabel(
+            bmap, 3, np.zeros(3), np.arange(3), 0
+        )
         np.testing.assert_array_equal(out, bmap)
         assert b == 3 and applied == 0
 
@@ -74,7 +78,9 @@ class TestApplyMerges:
         bmap = np.arange(3)
         best_delta = np.array([1.0, 2.0, 3.0])
         best_prop = np.array([1, 0, 1])  # 0->1, 1->0 (cycle), 2->1
-        _, new_b, applied = apply_merges(bmap, 3, best_delta, best_prop, 2)
+        _, new_b, applied, _ = apply_merges_with_relabel(
+            bmap, 3, best_delta, best_prop, 2
+        )
         assert applied == 2
         assert new_b == 1
 
@@ -82,7 +88,9 @@ class TestApplyMerges:
         bmap = np.arange(5)
         best_delta = np.arange(5, dtype=float)
         best_prop = np.array([4, 4, 4, 4, 3])
-        new_bmap, new_b, _ = apply_merges(bmap, 5, best_delta, best_prop, 2)
+        new_bmap, new_b, _, _ = apply_merges_with_relabel(
+            bmap, 5, best_delta, best_prop, 2
+        )
         assert new_bmap.max() == new_b - 1
         assert new_bmap.min() == 0
 
@@ -90,7 +98,9 @@ class TestApplyMerges:
         bmap = np.arange(3)
         best_delta = np.array([1.0, 2.0, 3.0])
         best_prop = np.array([-1, 2, 0])
-        _, new_b, applied = apply_merges(bmap, 3, best_delta, best_prop, 1)
+        _, new_b, applied, _ = apply_merges_with_relabel(
+            bmap, 3, best_delta, best_prop, 1
+        )
         assert applied == 1  # the -1 was skipped, 1->2 applied
 
 

@@ -6,10 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import graphs_with_partitions
-from repro.baselines.common import hastings_correction_dense, vertex_neighborhood
+from repro.baselines.moves import vertex_neighborhood
 from repro.blockmodel.blockmodel import BlockmodelCSR
 from repro.blockmodel.dense import DenseBlockmodel
-from repro.blockmodel.delta import move_delta_batch, move_delta_dense, move_delta_hastings
+from repro.blockmodel.delta import (
+    hastings_correction_dense,
+    move_delta_batch,
+    move_delta_dense,
+    move_delta_hastings,
+)
 from repro.core.mh import accept_moves
 from repro.core.vertex_move import build_move_context, move_context
 from repro.gpusim.device import A4000, Device

@@ -8,7 +8,6 @@ import pytest
 from repro.errors import GraphFormatError
 from repro.graph.builder import build_graph
 from repro.graph.io import (
-    edge_list_to_string,
     load_edge_list,
     load_graph_with_truth,
     load_truth_partition,
@@ -125,10 +124,3 @@ class TestTruthPartition:
         graph, truth = load_graph_with_truth(gpath, tpath)
         assert graph.num_vertices == 3
         np.testing.assert_array_equal(truth, [0, 0, 1])
-
-
-def test_edge_list_to_string(sample_graph):
-    text = edge_list_to_string(sample_graph)
-    lines = text.strip().splitlines()
-    assert lines[0] == "1\t2\t2"
-    assert len(lines) == sample_graph.num_edges

@@ -6,7 +6,6 @@ import pytest
 from repro.errors import GraphValidationError
 from repro.graph.builder import build_graph
 from repro.graph.validation import (
-    assert_same_vertex_count,
     densify_partition,
     graph_summary,
     partition_is_dense,
@@ -66,9 +65,3 @@ class TestSummary:
         assert s["total_edge_weight"] == 6
         assert s["num_self_loops"] == 1
         assert s["max_degree"] >= s["mean_degree"]
-
-    def test_assert_same_vertex_count(self):
-        g = build_graph([0], [1])
-        assert_same_vertex_count(g, np.array([0, 1]))
-        with pytest.raises(GraphValidationError):
-            assert_same_vertex_count(g, np.array([0]))

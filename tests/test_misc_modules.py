@@ -1,20 +1,17 @@
 """Tests for the small support modules: types, errors, logging, result."""
 
-import logging
-
 import numpy as np
 import pytest
 
 from repro import errors
 from repro.core.result import PartitionResult
 from repro.core.state import PhaseTimings, ProposalStats
-from repro.logging_util import enable_verbose_logging, get_logger, log_duration
+from repro.logging_util import enable_verbose_logging, get_logger
 from repro.types import (
     FLOAT_DTYPE,
     INDEX_DTYPE,
     NO_BLOCK,
     WEIGHT_DTYPE,
-    as_float_array,
     as_index_array,
     as_weight_array,
 )
@@ -34,8 +31,6 @@ class TestTypes:
         assert idx.dtype == INDEX_DTYPE and idx.flags["C_CONTIGUOUS"]
         wgt = as_weight_array((4, 5))
         assert wgt.dtype == WEIGHT_DTYPE
-        flt = as_float_array([1, 2])
-        assert flt.dtype == FLOAT_DTYPE
 
     def test_coercion_from_float_truncates_to_int(self):
         out = as_index_array(np.array([1.0, 2.0]))
@@ -66,14 +61,6 @@ class TestLogging:
         handlers_before = len(get_logger().handlers)
         enable_verbose_logging()
         assert len(get_logger().handlers) == handlers_before
-
-    def test_log_duration(self, caplog):
-        logger = get_logger("test")
-        logger.setLevel(logging.DEBUG)
-        with caplog.at_level(logging.DEBUG, logger="repro.test"):
-            with log_duration(logger, "step"):
-                pass
-        assert any("step took" in r.message for r in caplog.records)
 
 
 class TestPhaseTimings:
