@@ -6,10 +6,21 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from repro.blockmodel.incremental import IncrementalBlockmodel
+from repro.blockmodel.update import rebuild_blockmodel
 from repro.config import SBPConfig
 from repro.graph.builder import build_graph
 from repro.graph.datasets import load_dataset
 from repro.gpusim.device import A4000, Device
+
+
+def tracked(graph, bmap, num_blocks) -> IncrementalBlockmodel:
+    """An incremental maintainer attached to the Algorithm-2 blockmodel
+    of *bmap*, on a private device: how a CPU engine starts a plateau."""
+    device = Device()
+    incremental = IncrementalBlockmodel(device, graph)
+    incremental.reset(rebuild_blockmodel(device, graph, bmap, num_blocks))
+    return incremental
 
 
 @pytest.fixture
