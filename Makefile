@@ -18,14 +18,15 @@ test-fast:
 # deltas, Hastings correction, incremental-vs-rebuild blockmodels,
 # EDiSt golden partitions at 1/2/4 ranks, reference/uSAP/I-SBP golden
 # partitions, the shared CPU move and merge scoring vs the per-proposal
-# rules, the blockmodel lookup table vs the sorted-key search
+# rules, the blockmodel lookup table vs the sorted-key search, the CSR
+# row gather and combined adjacency vs per-row loops
 test-oracles:
 	PYTHONPATH=src pytest -q tests/test_gsap_golden.py \
 	  tests/test_blockmodel_delta.py tests/test_core_mh.py \
 	  tests/test_blockmodel_incremental.py tests/test_baselines_edist.py \
 	  tests/test_baselines_golden.py tests/test_baselines_moves.py \
 	  tests/test_baselines_merge.py tests/test_blockmodel_csr.py \
-	  tests/test_blockmodel_lookup.py
+	  tests/test_blockmodel_lookup.py tests/test_graph_csr_gather.py
 
 # seed-sweep quality gate: GSAP and ReferenceSBP on 16 seeds x the four
 # categories at 300 vertices, mdl_ratio and NMI per category, each engine

@@ -11,7 +11,8 @@ import pytest
 
 from _bench_utils import ablation_workload, pedantic_once, write_bench_record
 from repro.blockmodel.update import rebuild_blockmodel
-from repro.core.proposals import combined_block_adjacency, propose_block_merges
+from repro.core.proposals import propose_block_merges
+from repro.graph.csr import combined_adjacency
 from repro.graph.datasets import load_dataset
 from repro.gpusim.device import A4000, Device
 
@@ -19,7 +20,9 @@ from repro.gpusim.device import A4000, Device
 def on_demand_proposals(bm, rng, num_proposals):
     """The ablated per-proposal sampling loop (no lookup tables)."""
     b = bm.num_blocks
-    ptr, nbr, wgt = combined_block_adjacency(bm)
+    ptr, nbr, wgt = combined_adjacency(
+        (bm.out_ptr, bm.out_nbr, bm.out_wgt), (bm.in_ptr, bm.in_nbr, bm.in_wgt)
+    )
     deg = bm.deg_total()
     out = np.empty(b * num_proposals, dtype=np.int64)
     slot = 0

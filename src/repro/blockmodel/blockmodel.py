@@ -27,7 +27,7 @@ stays the binary search, the per-thread search a CUDA kernel would run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -146,38 +146,6 @@ class BlockmodelCSR:
         hit[in_range] = out_keys[pos[in_range]] == keys[in_range]
         out[hit] = self.out_wgt[pos[hit]]
         return out
-
-    # ------------------------------------------------------------------
-    # row gathering
-    # ------------------------------------------------------------------
-    def gather_rows(
-        self, rows: np.ndarray, direction: str = "out"
-    ) -> Tuple[IndexArray, IndexArray, WeightArray]:
-        """Concatenate CSR rows for a batch of blocks.
-
-        Returns ``(seg_ptr, cols, wgts)``: segment ``i`` of the output
-        holds row ``rows[i]``'s entries (columns sorted ascending).
-        """
-        if direction == "out":
-            ptr, nbr, wgt = self.out_ptr, self.out_nbr, self.out_wgt
-        elif direction == "in":
-            ptr, nbr, wgt = self.in_ptr, self.in_nbr, self.in_wgt
-        else:
-            raise ValueError(f"direction must be 'out' or 'in', got {direction!r}")
-        rows = np.asarray(rows, dtype=INDEX_DTYPE)
-        lo = ptr[rows]
-        lengths = ptr[rows + 1] - lo
-        seg_ptr = np.concatenate(([0], np.cumsum(lengths))).astype(INDEX_DTYPE)
-        total = int(seg_ptr[-1])
-        # Flatten ranges [lo_i, lo_i + len_i) into one index array.
-        if total:
-            inner = np.arange(total, dtype=INDEX_DTYPE) - np.repeat(
-                seg_ptr[:-1], lengths
-            )
-            idx = np.repeat(lo, lengths) + inner
-        else:
-            idx = np.empty(0, dtype=INDEX_DTYPE)
-        return seg_ptr, nbr[idx], wgt[idx]
 
     # ------------------------------------------------------------------
     # conversions

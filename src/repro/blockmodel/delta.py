@@ -37,6 +37,7 @@ import numpy as np
 from ..errors import NumericalError
 from ..gpusim.device import Device, KernelCost
 from ..gpusim import primitives as prim
+from ..graph.csr import gather_rows
 from ..types import FLOAT_DTYPE, INDEX_DTYPE
 from .blockmodel import BlockmodelCSR
 from .dense import DenseBlockmodel
@@ -324,18 +325,18 @@ def merge_delta_cells(
     c = np.maximum(r[mv], s[mv])
     pairs = np.arange(len(mv), dtype=INDEX_DTYPE)
 
-    def gather(direction, ptr):
+    def gather(ptr, nbr, wgt):
         # cells outside the intersection add exactly 0 and the term is
         # symmetric, so the shorter side gives the same float as row a
         short = np.where(ptr[c + 1] - ptr[c] < ptr[a + 1] - ptr[a], c, a)
-        seg_ptr, t, x = bm.gather_rows(short, direction)
+        seg_ptr, t, x = gather_rows(ptr, nbr, wgt, short)
         own = np.repeat(pairs, seg_ptr[1:] - seg_ptr[:-1])
         keep = (t != a[own]) & (t != c[own])
         own = own[keep]
         return own, t[keep], x[keep], (a + c - short)[own]
 
-    own_o, t_o, x_o, partner_o = gather("out", bm.out_ptr)
-    own_i, t_i, x_i, partner_i = gather("in", bm.in_ptr)
+    own_o, t_o, x_o, partner_o = gather(bm.out_ptr, bm.out_nbr, bm.out_wgt)
+    own_i, t_i, x_i, partner_i = gather(bm.in_ptr, bm.in_nbr, bm.in_wgt)
     rows = np.concatenate((partner_o, t_i, a, a, c, c))
     cols = np.concatenate((t_o, partner_i, a, c, a, c))
     looked = bm.lookup(rows, cols).astype(FLOAT_DTYPE)

@@ -50,7 +50,7 @@ import numpy as np
 from ..errors import PartitionError
 from ..gpusim.device import Device, KernelCost
 from ..gpusim import primitives as prim
-from ..graph.csr import DiGraphCSR
+from ..graph.csr import DiGraphCSR, gather_rows
 from ..obs import NULL_OBS, Observability
 from ..types import INDEX_DTYPE, WEIGHT_DTYPE, IndexArray
 from .blockmodel import BlockmodelCSR
@@ -272,34 +272,20 @@ class IncrementalBlockmodel:
             is_mover[movers] = True
             old_of[movers] = r
             try:
-                o_ptr = graph.out_adj.ptr
-                o_lo = o_ptr[movers]
-                o_len = o_ptr[movers + 1] - o_lo
-                o_seg = np.repeat(np.arange(len(movers), dtype=INDEX_DTYPE), o_len)
-                o_idx = (
-                    np.repeat(o_lo, o_len)
-                    + np.arange(int(o_len.sum()), dtype=INDEX_DTYPE)
-                    - np.repeat(np.concatenate(([0], np.cumsum(o_len)))[:-1], o_len)
+                o_seg_ptr, o_dst, o_w = gather_rows(*graph.out_adj, movers)
+                o_seg = np.repeat(
+                    np.arange(len(movers), dtype=INDEX_DTYPE), np.diff(o_seg_ptr)
                 )
-                o_dst = graph.out_adj.nbr[o_idx]
-                o_w = graph.out_adj.wgt[o_idx].astype(WEIGHT_DTYPE)
                 dst_new = bmap[o_dst]
                 dst_old = np.where(is_mover[o_dst], old_of[o_dst], dst_new)
                 rows_old, rows_new = r[o_seg], s[o_seg]
 
-                i_ptr = graph.in_adj.ptr
-                i_lo = i_ptr[movers]
-                i_len = i_ptr[movers + 1] - i_lo
-                i_seg = np.repeat(np.arange(len(movers), dtype=INDEX_DTYPE), i_len)
-                i_idx = (
-                    np.repeat(i_lo, i_len)
-                    + np.arange(int(i_len.sum()), dtype=INDEX_DTYPE)
-                    - np.repeat(np.concatenate(([0], np.cumsum(i_len)))[:-1], i_len)
+                i_seg_ptr, i_src, i_w = gather_rows(*graph.in_adj, movers)
+                i_seg = np.repeat(
+                    np.arange(len(movers), dtype=INDEX_DTYPE), np.diff(i_seg_ptr)
                 )
-                i_src = graph.in_adj.nbr[i_idx]
                 keep = ~is_mover[i_src]
-                i_src, i_seg = i_src[keep], i_seg[keep]
-                i_w = graph.in_adj.wgt[i_idx][keep].astype(WEIGHT_DTYPE)
+                i_src, i_seg, i_w = i_src[keep], i_seg[keep], i_w[keep]
                 src_blk = bmap[i_src]
                 cols_old, cols_new = r[i_seg], s[i_seg]
             finally:

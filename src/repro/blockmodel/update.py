@@ -17,42 +17,13 @@ from typing import Optional
 import numpy as np
 
 from ..errors import PartitionError
-from ..graph.csr import CSRAdjacency, DiGraphCSR
+from ..graph.csr import CSRAdjacency, DiGraphCSR, gather_rows
 from ..gpusim.device import Device, KernelCost
 from ..gpusim import primitives as prim
 from ..types import INDEX_DTYPE, WEIGHT_DTYPE, IndexArray
 from .blockmodel import BlockmodelCSR
 
 UPDATE_PHASE = "blockmodel_update"
-
-
-def _gather_adjacency_by_vmap(
-    device: Device,
-    adj: CSRAdjacency,
-    vmap: np.ndarray,
-    phase: str,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Concatenate adjacency rows in *vmap* order (Algorithm 2 lines 2-3).
-
-    Returns ``(row_lengths, nbr, wgt)`` where the flattened arrays hold
-    vertex ``vmap[i]``'s neighbours contiguously at segment ``i``.
-    """
-    ptr, nbr, wgt = adj.ptr, adj.nbr, adj.wgt
-
-    def body():
-        lo = ptr[vmap]
-        lengths = ptr[vmap + 1] - lo
-        total = int(lengths.sum())
-        if total == 0:
-            return lengths, nbr[:0].copy(), wgt[:0].copy()
-        offsets = np.concatenate(([0], np.cumsum(lengths)))[:-1]
-        inner = np.arange(total, dtype=INDEX_DTYPE) - np.repeat(offsets, lengths)
-        idx = np.repeat(lo, lengths) + inner
-        return lengths, nbr[idx], wgt[idx]
-
-    cost = KernelCost(work_items=max(adj.num_entries, 1), ops_per_item=2.0,
-                      bytes_moved=8 * 3 * max(adj.num_entries, 1))
-    return device.execute("gather_adjacency", cost, body, phase)
 
 
 def _build_direction(
@@ -65,12 +36,19 @@ def _build_direction(
     phase: str,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Build one CSR direction of the blockmodel (ptr, nbr, wgt)."""
-    row_lengths, nbr, wgt = _gather_adjacency_by_vmap(device, adj, vmap, phase)
+    # Algorithm 2 lines 2-3: concatenate adjacency rows in vmap order.
+    work = max(adj.num_entries, 1)
+    seg_ptr, nbr, wgt = device.execute(
+        "gather_adjacency",
+        KernelCost(work_items=work, ops_per_item=2.0, bytes_moved=8 * 3 * work),
+        lambda: gather_rows(*adj, vmap),
+        phase,
+    )
     # Segment id of each adjacency entry = block of its source vertex.
     seg_ids = device.execute(
         "expand_segments",
         KernelCost(work_items=max(len(nbr), 1), ops_per_item=1.0),
-        lambda: np.repeat(src_blocks_sorted, row_lengths),
+        lambda: np.repeat(src_blocks_sorted, np.diff(seg_ptr)),
         phase,
     )
     # Algorithm 2 line 4: map neighbour vertex ids to block ids.

@@ -15,9 +15,9 @@ Two checkpoint kinds live here:
   killed between plateaus resumes from its latest checkpoint and — with
   the same seed — reaches the identical final partition.
 
-Every write is crash-safe: files land under temporary names and are
-atomically :func:`os.replace`'d into place, with the JSON manifest
-committed last, so a reader never observes a torn checkpoint.  Loads
+Every write is crash-safe (:func:`repro.atomicio.atomic_write`: temp
+file, fsync, :func:`os.replace`), with the JSON manifest committed
+last, so a reader never observes a torn checkpoint.  Loads
 validate ``format_version`` and raise
 :class:`~repro.errors.CheckpointError` on mismatch or truncation.
 
@@ -38,6 +38,7 @@ from typing import Dict, List, Optional, Union
 
 import numpy as np
 
+from .atomicio import atomic_write, atomic_write_text
 from .core.result import PartitionResult
 from .core.state import PartitionSnapshot, PhaseTimings, ProposalStats
 from .errors import CheckpointCorruptError, CheckpointError
@@ -55,24 +56,6 @@ _COMPAT_VERSIONS = (1, 2, 3)
 #: run.json (mid-run snapshot) format.
 RUN_FORMAT_VERSION = 1
 _RUN_MANIFEST = "run.json"
-
-
-# ----------------------------------------------------------------------
-# atomic-write helpers
-# ----------------------------------------------------------------------
-def _atomic_write_text(path: Path, text: str) -> None:
-    """Write *text* to *path* via a temp file + ``os.replace``."""
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
-
-
-def _atomic_save_array(path: Path, array: np.ndarray) -> None:
-    """``np.save`` to *path* via a temp file + ``os.replace``."""
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as handle:
-        np.save(handle, array)
-    os.replace(tmp, path)
 
 
 def _read_json(path: Path, what: str) -> dict:
@@ -164,13 +147,13 @@ def save_result(result: PartitionResult, directory: PathLike) -> Path:
     # the partition lands first, the manifest last: a crash in between
     # leaves either the old consistent pair or a refreshed partition with
     # the old manifest — never a manifest pointing at missing data
-    _atomic_save_array(directory / "partition.npy", result.partition)
+    atomic_write(
+        directory / "partition.npy", lambda h: np.save(h, result.partition)
+    )
     payload["content_digests"] = {
         "partition.npy": _file_sha256(directory / "partition.npy")
     }
-    _atomic_write_text(
-        directory / "result.json", json.dumps(payload, indent=2)
-    )
+    atomic_write_text(directory / "result.json", json.dumps(payload, indent=2))
     return directory
 
 
@@ -296,10 +279,7 @@ def save_run_checkpoint(state: RunCheckpoint, directory: PathLike) -> Path:
                 {"num_blocks": int(snap.num_blocks), "mdl": float(snap.mdl)}
             )
             arrays[f"snap{i}"] = np.asarray(snap.bmap, dtype=INDEX_DTYPE)
-    tmp = directory / (state_name + ".tmp")
-    with open(tmp, "wb") as handle:
-        np.savez(handle, **arrays)
-    os.replace(tmp, directory / state_name)
+    atomic_write(directory / state_name, lambda h: np.savez(h, **arrays))
 
     payload = {
         "content_digests": {
@@ -334,7 +314,7 @@ def save_run_checkpoint(state: RunCheckpoint, directory: PathLike) -> Path:
         "observability": dict(state.observability),
         "integrity": dict(state.integrity),
     }
-    _atomic_write_text(directory / _RUN_MANIFEST, json.dumps(payload, indent=2))
+    atomic_write_text(directory / _RUN_MANIFEST, json.dumps(payload, indent=2))
 
     for stale in directory.glob("state-*.npz"):
         if stale.name != state_name:

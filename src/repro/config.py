@@ -37,11 +37,11 @@ class ResilienceConfig:
     degrade_on_oom:
         Allow the degradation ladder on persistent out-of-memory faults:
         halve the vertex-move batch size (up to ``max_batch_halvings``
-        times), then, when ``dense_fallback`` is set, maintain the
-        blockmodel off the device: the plateau-start rebuild and the
-        incremental maintainer run on a private device with no fault
-        injector, whose kernels the run's simulated clock does not
-        charge.  The blockmodels, and so the partition, are unchanged.
+        times), then maintain the blockmodel off the device: the
+        plateau-start rebuild and the incremental maintainer run on a
+        private device with no fault injector, whose kernels the run's
+        simulated clock does not charge.  The blockmodels, and so the
+        partition, are unchanged.
     best_effort:
         Return the best-so-far partition (``converged=False``) when the
         plateau budget is exhausted instead of raising
@@ -57,7 +57,6 @@ class ResilienceConfig:
     checkpoint_every: int = 0
     degrade_on_oom: bool = True
     max_batch_halvings: int = 3
-    dense_fallback: bool = True
     best_effort: bool = False
 
     def __post_init__(self) -> None:
@@ -107,14 +106,13 @@ class ObservabilityConfig:
     trace_kernels:
         Bridge the simulated device's kernel launches into the tracer
         as leaf spans (one span per launch; the dominant span volume).
-    track_deltas:
-        Feed per-proposal ΔMDL values into histograms (adds one NumPy
-        bucketing pass per MCMC batch).
+
+    With the hub enabled, the per-proposal ΔMDL histograms are always
+    recorded (one NumPy bucketing pass per MCMC batch and merge round).
     """
 
     enabled: bool = False
     trace_kernels: bool = True
-    track_deltas: bool = True
 
     def replace(self, **changes: object) -> "ObservabilityConfig":
         """Return a copy with *changes* applied."""

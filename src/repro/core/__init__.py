@@ -12,8 +12,6 @@ from .mh import accept_moves
 from .partitioner import GSAPPartitioner, partition_graph
 from .proposals import (
     ProposalBatch,
-    combined_block_adjacency,
-    combined_vertex_adjacency,
     propose_block_merges,
     propose_vertex_moves,
 )
@@ -23,7 +21,6 @@ from .state import PartitionSnapshot, PhaseTimings, ProposalStats
 from .vertex_move import (
     VertexMoveOutcome,
     build_move_context,
-    gather_adjacency_rows,
     run_vertex_move_phase,
 )
 
@@ -40,8 +37,6 @@ __all__ = [
     "GSAPPartitioner",
     "partition_graph",
     "ProposalBatch",
-    "combined_block_adjacency",
-    "combined_vertex_adjacency",
     "propose_block_merges",
     "propose_vertex_moves",
     "PartitionResult",
@@ -52,6 +47,5 @@ __all__ = [
     "ProposalStats",
     "VertexMoveOutcome",
     "build_move_context",
-    "gather_adjacency_rows",
     "run_vertex_move_phase",
 ]

@@ -211,11 +211,10 @@ def run_block_merge_phase(
             "merge_proposals_total", len(delta),
             help="merge candidates evaluated",
         )
-        if obs.enabled and obs.config.track_deltas:
-            obs.observe_many(
-                "merge_delta_mdl", best_delta,
-                help="best per-block merge ΔMDL (Eqs. 4-6)",
-            )
+        obs.observe_many(
+            "merge_delta_mdl", best_delta,
+            help="best per-block merge ΔMDL (Eqs. 4-6)",
+        )
         if applied == 0:
             raise PartitionError(
                 "block-merge made no progress; proposals degenerate"

@@ -276,7 +276,7 @@ class GSAPPartitioner:
                         f"vertex-move batch size (now "
                         f"{eff.num_batches_for_MCMC} batches)"
                     )
-                elif rcfg.dense_fallback and not degradation.dense_rebuild:
+                elif not degradation.dense_rebuild:
                     degradation.dense_rebuild = True
                     event = (
                         f"plateau {plateau_idx}: OOM survived batch "

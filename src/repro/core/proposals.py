@@ -10,8 +10,8 @@ from ``u``'s own adjacency — realised, exactly as in Algorithm 1 line 10,
 by reusing the pre-generated multinomial table entry for ``u``.
 
 GSAP's trick is that all random inputs are produced up front as three
-lookup tables on concurrent streams (Fig. 4); the proposal kernel is then
-a pure gather over those tables, launched over every proposer at once.
+lookup tables (Fig. 4); the proposal kernel is then a pure gather over
+those tables, launched over every proposer at once.
 """
 
 from __future__ import annotations
@@ -22,79 +22,14 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..blockmodel.blockmodel import BlockmodelCSR
-from ..gpusim.curand import LookupTables, build_lookup_tables
+from ..gpusim.curand import (
+    LookupTables,
+    build_lookup_tables,
+    multinomial_neighbor_table,
+)
 from ..gpusim.device import Device, KernelCost
-from ..graph.csr import DiGraphCSR
-from ..types import INDEX_DTYPE, WEIGHT_DTYPE
-
-
-def combined_block_adjacency(
-    bm: BlockmodelCSR,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-block union of out- and in-adjacency (row b = out_b ++ in_b).
-
-    Entries are not deduplicated — the multinomial sampler only needs
-    weight-proportional selection, and M[u,:] ++ M[:,u] is exactly the
-    distribution the reference implementation samples from.
-    """
-    out_len = bm.out_ptr[1:] - bm.out_ptr[:-1]
-    in_len = bm.in_ptr[1:] - bm.in_ptr[:-1]
-    total_len = out_len + in_len
-    ptr = np.concatenate(([0], np.cumsum(total_len))).astype(INDEX_DTYPE)
-    n = int(ptr[-1])
-    nbr = np.empty(n, dtype=INDEX_DTYPE)
-    wgt = np.empty(n, dtype=WEIGHT_DTYPE)
-    # out entries go first in each row, then in entries
-    out_pos_base = ptr[:-1]
-    in_pos_base = ptr[:-1] + out_len
-    if len(bm.out_nbr):
-        starts = np.concatenate(([0], np.cumsum(out_len)))[:-1]
-        inner = np.arange(len(bm.out_nbr), dtype=INDEX_DTYPE) - np.repeat(
-            starts, out_len
-        )
-        pos = np.repeat(out_pos_base, out_len) + inner
-        nbr[pos] = bm.out_nbr
-        wgt[pos] = bm.out_wgt
-    if len(bm.in_nbr):
-        starts = np.concatenate(([0], np.cumsum(in_len)))[:-1]
-        inner = np.arange(len(bm.in_nbr), dtype=INDEX_DTYPE) - np.repeat(
-            starts, in_len
-        )
-        pos = np.repeat(in_pos_base, in_len) + inner
-        nbr[pos] = bm.in_nbr
-        wgt[pos] = bm.in_wgt
-    return ptr, nbr, wgt
-
-
-def combined_vertex_adjacency(
-    graph: DiGraphCSR,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-vertex union of out- and in-adjacency of the input graph."""
-    out, inn = graph.out_adj, graph.in_adj
-    out_len = out.ptr[1:] - out.ptr[:-1]
-    in_len = inn.ptr[1:] - inn.ptr[:-1]
-    total_len = out_len + in_len
-    ptr = np.concatenate(([0], np.cumsum(total_len))).astype(INDEX_DTYPE)
-    n = int(ptr[-1])
-    nbr = np.empty(n, dtype=INDEX_DTYPE)
-    wgt = np.empty(n, dtype=WEIGHT_DTYPE)
-    if len(out.nbr):
-        starts = np.concatenate(([0], np.cumsum(out_len)))[:-1]
-        inner = np.arange(len(out.nbr), dtype=INDEX_DTYPE) - np.repeat(
-            starts, out_len
-        )
-        pos = np.repeat(ptr[:-1], out_len) + inner
-        nbr[pos] = out.nbr
-        wgt[pos] = out.wgt
-    if len(inn.nbr):
-        starts = np.concatenate(([0], np.cumsum(in_len)))[:-1]
-        inner = np.arange(len(inn.nbr), dtype=INDEX_DTYPE) - np.repeat(
-            starts, in_len
-        )
-        pos = np.repeat(ptr[:-1] + out_len, in_len) + inner
-        nbr[pos] = inn.nbr
-        wgt[pos] = inn.wgt
-    return ptr, nbr, wgt
+from ..graph.csr import DiGraphCSR, combined_adjacency
+from ..types import INDEX_DTYPE
 
 
 @dataclass(frozen=True)
@@ -121,7 +56,9 @@ def propose_block_merges(
     """
     b = bm.num_blocks
     num_slots = b * num_proposals
-    ptr, nbr, wgt = combined_block_adjacency(bm)
+    ptr, nbr, wgt = combined_adjacency(
+        (bm.out_ptr, bm.out_nbr, bm.out_wgt), (bm.in_ptr, bm.in_nbr, bm.in_wgt)
+    )
     deg = bm.deg_total()
 
     proposers = np.tile(np.arange(b, dtype=INDEX_DTYPE), num_proposals)
@@ -182,48 +119,34 @@ def propose_vertex_moves(
     vertices = np.asarray(vertices, dtype=INDEX_DTYPE)
     num_slots = len(vertices)
     if vertex_adjacency is None:
-        vertex_adjacency = combined_vertex_adjacency(graph)
-    v_ptr, v_nbr, v_wgt = vertex_adjacency
-    b_ptr, b_nbr, b_wgt = combined_block_adjacency(bm)
+        vertex_adjacency = combined_adjacency(graph.out_adj, graph.in_adj)
+    b_ptr, b_nbr, b_wgt = combined_adjacency(
+        (bm.out_ptr, bm.out_nbr, bm.out_wgt), (bm.in_ptr, bm.in_nbr, bm.in_wgt)
+    )
     deg = bm.deg_total()
 
-    # Table 1: per-mover multinomial over the vertex adjacency.
-    from ..gpusim.curand import (
-        multinomial_neighbor_table,
-        random_block_table,
-        uniform_table,
-    )
-    from ..gpusim.stream import Stream, overlap_time_s
-
-    s_uniform, s_random, s_multi, s_bmulti = (
-        Stream(device),
-        Stream(device),
-        Stream(device),
-        Stream(device),
-    )
-    uniform = uniform_table(device, rng, num_slots, phase, stream=s_uniform)
-    rand_blk = random_block_table(device, rng, num_slots, b, phase, stream=s_random)
-    nbr_vertex = multinomial_neighbor_table(
-        device, rng, v_ptr, v_nbr, v_wgt, rows=vertices, phase=phase, stream=s_multi
+    # The per-mover multinomial is drawn over the vertex adjacency; the
+    # block table holds one pre-drawn neighbour per block (line 10).
+    # The draw order (uniform, random block, per mover, per block) fixes
+    # the random stream, and so the partitions.
+    tables = build_lookup_tables(
+        device, rng, num_slots, b, *vertex_adjacency, rows=vertices, phase=phase
     )
     block_multi = multinomial_neighbor_table(
-        device, rng, b_ptr, b_nbr, b_wgt, rows=None, phase=phase, stream=s_bmulti
-    )
-    tables = LookupTables(
-        uniform=uniform,
-        random_block=rand_blk,
-        multinomial=block_multi,
-        build_time_s=overlap_time_s(s_uniform, s_random, s_multi, s_bmulti),
+        device, rng, b_ptr, b_nbr, b_wgt, phase=phase
     )
 
     def kernel() -> np.ndarray:
+        nbr_vertex = tables.multinomial
         u = np.where(nbr_vertex >= 0, bmap[np.maximum(nbr_vertex, 0)], -1)
         deg_u = np.where(u >= 0, deg[np.maximum(u, 0)], 0)
         take_random = u < 0
-        take_random |= uniform <= (b / (deg_u + b))
+        take_random |= tables.uniform <= (b / (deg_u + b))
         via_multi = np.where(u >= 0, block_multi[np.maximum(u, 0)], -1)
         take_random |= via_multi < 0
-        return np.where(take_random, rand_blk, via_multi).astype(INDEX_DTYPE)
+        return np.where(take_random, tables.random_block, via_multi).astype(
+            INDEX_DTYPE
+        )
 
     proposals = device.execute(
         "propose_vertex_move",

@@ -36,30 +36,17 @@ from ..blockmodel.incremental import IncrementalBlockmodel
 from ..config import SBPConfig
 from ..gpusim.device import Device, KernelCost
 from ..gpusim.primitives import composite_keys
-from ..graph.csr import CSRAdjacency, DiGraphCSR
+from ..graph.csr import DiGraphCSR, combined_adjacency, gather_rows
 from ..obs import NULL_OBS, Observability
 from ..types import FLOAT_DTYPE, INDEX_DTYPE, IndexArray
 from .mh import accept_moves
-from .proposals import combined_vertex_adjacency, propose_vertex_moves
+from .proposals import propose_vertex_moves
 
 # Unused here; kept as a module attribute so tools that wrap the
 # vertex-move entry points by name still find it.
 hastings_correction_batch = None
 
 PHASE = "vertex_move"
-
-
-def gather_adjacency_rows(
-    adj: CSRAdjacency, rows: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Concatenate adjacency rows of *rows*: ``(seg_ptr, nbr, wgt)``."""
-    lo = adj.ptr[rows]
-    lengths = adj.ptr[rows + 1] - lo
-    seg_ptr = np.zeros(len(rows) + 1, dtype=INDEX_DTYPE)
-    lengths.cumsum(out=seg_ptr[1:])
-    idx = np.arange(seg_ptr[-1], dtype=INDEX_DTYPE)
-    idx += (lo - seg_ptr[:-1]).repeat(lengths)
-    return seg_ptr, adj.nbr[idx], adj.wgt[idx]
 
 
 def _aggregate_by_block(
@@ -119,10 +106,10 @@ def move_context(
     vertices = np.asarray(vertices, dtype=INDEX_DTYPE)
     span = int(bmap.max()) + 1 if len(bmap) else 1
     kout_ptr, kout_blk, kout_w, self_w, d_out_v, kout_keys = _aggregate_by_block(
-        *gather_adjacency_rows(graph.out_adj, vertices), vertices, bmap, span
+        *gather_rows(*graph.out_adj, vertices), vertices, bmap, span
     )
     kin_ptr, kin_blk, kin_w, _self_in, d_in_v, kin_keys = _aggregate_by_block(
-        *gather_adjacency_rows(graph.in_adj, vertices), vertices, bmap, span
+        *gather_rows(*graph.in_adj, vertices), vertices, bmap, span
     )
     _, at_out, at_in = np.intersect1d(
         kout_keys, kin_keys, assume_unique=True, return_indices=True
@@ -242,7 +229,7 @@ def run_vertex_move_phase(
     bmap = np.asarray(bmap, dtype=INDEX_DTYPE).copy()
     num_vertices = graph.num_vertices
     total_weight = graph.total_edge_weight
-    vertex_adj = combined_vertex_adjacency(graph)
+    vertex_adj = combined_adjacency(graph.out_adj, graph.in_adj)
 
     mdl = description_length(blockmodel, num_vertices, total_weight)
     scale = abs(initial_mdl_scale if initial_mdl_scale is not None else mdl)
@@ -257,7 +244,6 @@ def run_vertex_move_phase(
         incremental = IncrementalBlockmodel(device, graph, obs=obs)
     incremental.ensure(blockmodel)
 
-    track_deltas = obs.enabled and obs.config.track_deltas
     for sweep in range(config.max_num_nodal_itr):
         if cancel is not None:
             cancel.check("sweep")
@@ -290,11 +276,9 @@ def run_vertex_move_phase(
                     "mcmc_moves_accepted_total", num_accepted,
                     help="vertex moves accepted by the MH test",
                 )
-                if track_deltas:
-                    obs.observe_many(
-                        "mcmc_delta_mdl", delta,
-                        help="per-proposal ΔMDL (Eq. 7)",
-                    )
+                obs.observe_many(
+                    "mcmc_delta_mdl", delta, help="per-proposal ΔMDL (Eq. 7)"
+                )
                 if num_accepted:
                     movers = batch[accept]
                     bmap[movers] = prop.proposals[accept]

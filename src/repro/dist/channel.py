@@ -35,6 +35,7 @@ from ..resilience.faults import (
     FaultLogEntry,
     FaultPlan,
     FaultSpec,
+    tick_fault_counters,
 )
 from ..rng import make_rng
 from .message import Frame
@@ -47,7 +48,7 @@ class CommFaultInjector:
         self.plan = plan or FaultPlan()
         self.rng = make_rng(seed, "dist", "comm_faults")
         #: counters keyed ``(kind, rank-filter, phase-filter)``
-        self._counters: Dict[Tuple[str, Optional[int], Optional[str]], int] = {}
+        self._counters: Dict[tuple, int] = {}
         self._round_counter = 0
         self.log: List[FaultLogEntry] = []
 
@@ -59,21 +60,9 @@ class CommFaultInjector:
         self, kind: str, rank: Optional[int], phase: Optional[str]
     ) -> List[Tuple[FaultSpec, int]]:
         """Advance counters for *kind*; return the specs that fire."""
-        fired: List[Tuple[FaultSpec, int]] = []
-        ranks = {None, rank} if rank is not None else {None}
-        phases = {None, phase} if phase is not None else {None}
-        for rk in ranks:
-            for ph in phases:
-                key = (kind, rk, ph)
-                index = self._counters.get(key, 0)
-                self._counters[key] = index + 1
-                for spec in self.plan.faults:
-                    if (spec.kind != kind or spec.rank != rk
-                            or spec.phase != ph):
-                        continue
-                    if spec.at <= index < spec.at + spec.count:
-                        fired.append((spec, index))
-        return fired
+        return tick_fault_counters(
+            self._counters, self.plan.faults, kind, rank=rank, phase=phase
+        )
 
     def _record(self, spec: FaultSpec, index: int, detail: str) -> None:
         self.log.append(

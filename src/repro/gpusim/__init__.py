@@ -1,4 +1,4 @@
-"""Simulated-GPU substrate: device model, streams, primitives.
+"""Simulated-GPU substrate: device model, primitives, cuRAND tables.
 
 This package is the repo's substitution for the paper's CUDA runtime
 (DESIGN.md §2): kernels execute as vectorized NumPy bodies while the
@@ -15,7 +15,6 @@ from .device import (
     set_default_device,
 )
 from .profiler import KernelRecord, PhaseSummary, Profiler
-from .stream import Stream, overlap_time_s
 from .curand import (
     LookupTables,
     build_lookup_tables,
@@ -35,8 +34,6 @@ __all__ = [
     "KernelRecord",
     "PhaseSummary",
     "Profiler",
-    "Stream",
-    "overlap_time_s",
     "LookupTables",
     "build_lookup_tables",
     "multinomial_neighbor_table",

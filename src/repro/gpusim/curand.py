@@ -1,7 +1,8 @@
 """cuRAND-style batched random lookup tables (paper Fig. 4).
 
-GSAP avoids per-proposal RNG calls by pre-generating three tables on
-concurrent streams before each proposal kernel:
+GSAP avoids per-proposal RNG calls by pre-generating three tables before
+each proposal kernel (on concurrent streams in the paper; the simulated
+clock charges each table build as its own launch):
 
 * a **uniform table** — one float in [0, 1) per proposal slot (the ``x``
   of Algorithm 1 line 6);
@@ -19,13 +20,27 @@ alias-free strategy a segmented ``searchsorted`` kernel implements.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional, TypeVar
 
 import numpy as np
 
 from ..types import FLOAT_DTYPE, INDEX_DTYPE
 from .device import Device, KernelCost
-from .stream import Stream, overlap_time_s
+
+T = TypeVar("T")
+
+
+def _launch_table(
+    device: Device,
+    name: str,
+    cost: KernelCost,
+    body: Callable[[], T],
+    phase: Optional[str],
+) -> T:
+    """Launch one table build; a planned ``stream`` fault fires first."""
+    if device.fault_injector is not None:
+        device.fault_injector.on_stream_launch(name, phase)
+    return device.execute(name, cost, body, phase)
 
 
 def uniform_table(
@@ -33,14 +48,11 @@ def uniform_table(
     rng: np.random.Generator,
     size: int,
     phase: Optional[str] = None,
-    stream: Optional[Stream] = None,
 ) -> np.ndarray:
     """Batch of ``size`` uniforms in [0, 1) (cuRAND uniform generator)."""
     cost = KernelCost(work_items=max(size, 1), ops_per_item=4.0)
     body = lambda: rng.random(size, dtype=FLOAT_DTYPE)
-    if stream is not None:
-        return stream.launch("curand_uniform", cost, body, phase)
-    return device.execute("curand_uniform", cost, body, phase)
+    return _launch_table(device, "curand_uniform", cost, body, phase)
 
 
 def random_block_table(
@@ -49,14 +61,11 @@ def random_block_table(
     size: int,
     num_blocks: int,
     phase: Optional[str] = None,
-    stream: Optional[Stream] = None,
 ) -> np.ndarray:
     """Batch of ``size`` uniformly random block ids in [0, num_blocks)."""
     cost = KernelCost(work_items=max(size, 1), ops_per_item=4.0)
     body = lambda: rng.integers(0, max(num_blocks, 1), size=size, dtype=INDEX_DTYPE)
-    if stream is not None:
-        return stream.launch("curand_random_block", cost, body, phase)
-    return device.execute("curand_random_block", cost, body, phase)
+    return _launch_table(device, "curand_random_block", cost, body, phase)
 
 
 def multinomial_neighbor_table(
@@ -67,7 +76,6 @@ def multinomial_neighbor_table(
     wgt: np.ndarray,
     rows: Optional[np.ndarray] = None,
     phase: Optional[str] = None,
-    stream: Optional[Stream] = None,
 ) -> np.ndarray:
     """Draw, per row, one neighbour with probability ∝ edge weight.
 
@@ -114,9 +122,7 @@ def multinomial_neighbor_table(
 
     cost = KernelCost(work_items=max(len(rows), 1), ops_per_item=8.0,
                       bytes_moved=8 * (len(rows) * 4 + len(wgt)))
-    if stream is not None:
-        return stream.launch("curand_multinomial", cost, body, phase)
-    return device.execute("curand_multinomial", cost, body, phase)
+    return _launch_table(device, "curand_multinomial", cost, body, phase)
 
 
 @dataclass(frozen=True)
@@ -126,8 +132,6 @@ class LookupTables:
     uniform: np.ndarray
     random_block: np.ndarray
     multinomial: np.ndarray
-    #: simulated makespan of the three overlapped table builds
-    build_time_s: float
 
 
 def build_lookup_tables(
@@ -141,23 +145,16 @@ def build_lookup_tables(
     rows: Optional[np.ndarray] = None,
     phase: Optional[str] = None,
 ) -> LookupTables:
-    """Build all three tables on concurrent streams (paper Fig. 4).
+    """Build all three tables, in this draw order (paper Fig. 4).
 
     ``num_slots`` is the proposal-slot count (``B × num_proposals`` in the
     block-merge phase, batch size in the vertex-move phase); the
     multinomial table has one entry per *row* in ``rows``.
     """
-    s_uniform, s_random, s_multi = Stream(device), Stream(device), Stream(device)
-    uniform = uniform_table(device, rng, num_slots, phase, stream=s_uniform)
-    random_block = random_block_table(
-        device, rng, num_slots, num_blocks, phase, stream=s_random
-    )
-    multinomial = multinomial_neighbor_table(
-        device, rng, ptr, nbr, wgt, rows=rows, phase=phase, stream=s_multi
-    )
     return LookupTables(
-        uniform=uniform,
-        random_block=random_block,
-        multinomial=multinomial,
-        build_time_s=overlap_time_s(s_uniform, s_random, s_multi),
+        uniform=uniform_table(device, rng, num_slots, phase),
+        random_block=random_block_table(device, rng, num_slots, num_blocks, phase),
+        multinomial=multinomial_neighbor_table(
+            device, rng, ptr, nbr, wgt, rows=rows, phase=phase
+        ),
     )

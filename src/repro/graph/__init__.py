@@ -1,7 +1,7 @@
 """Graph substrate: CSR containers, builders, IO, DC-SBM generation."""
 
 from .builder import build_graph, from_edge_iterable, from_networkx
-from .csr import CSRAdjacency, DiGraphCSR
+from .csr import CSRAdjacency, DiGraphCSR, combined_adjacency, gather_rows
 from .datasets import (
     CATEGORIES,
     CATEGORY_LABELS,
@@ -52,6 +52,8 @@ from .validation import (
 
 __all__ = [
     "CSRAdjacency",
+    "combined_adjacency",
+    "gather_rows",
     "DiGraphCSR",
     "build_graph",
     "from_edge_iterable",

@@ -47,6 +47,10 @@ class CSRAdjacency:
     nbr: IndexArray
     wgt: WeightArray
 
+    def __iter__(self) -> Iterator[np.ndarray]:
+        """Unpack as ``ptr, nbr, wgt`` (the triple :func:`gather_rows` takes)."""
+        return iter((self.ptr, self.nbr, self.wgt))
+
     def __post_init__(self) -> None:
         object.__setattr__(self, "ptr", as_index_array(self.ptr))
         object.__setattr__(self, "nbr", as_index_array(self.nbr))
@@ -103,6 +107,60 @@ class CSRAdjacency:
                 raise GraphValidationError("neighbour id out of range")
             if self.wgt.min() <= 0:
                 raise GraphValidationError("edge weights must be positive")
+
+
+def gather_rows(
+    ptr: np.ndarray, nbr: np.ndarray, wgt: np.ndarray, rows: np.ndarray
+) -> Tuple[IndexArray, np.ndarray, np.ndarray]:
+    """Concatenate the CSR rows *rows* of ``(ptr, nbr, wgt)``.
+
+    Returns ``(seg_ptr, nbr, wgt)``: segment ``i`` of the output,
+    ``[seg_ptr[i], seg_ptr[i+1])``, holds row ``rows[i]``'s entries in
+    stored order.  Rows may repeat and may be empty.  Works on a graph
+    adjacency (``gather_rows(*graph.out_adj, rows)``) and on either
+    direction of a blockmodel alike.
+    """
+    rows = np.asarray(rows, dtype=INDEX_DTYPE)
+    lo = ptr[rows]
+    lengths = ptr[rows + 1] - lo
+    seg_ptr = np.zeros(len(rows) + 1, dtype=INDEX_DTYPE)
+    lengths.cumsum(out=seg_ptr[1:])
+    idx = np.arange(seg_ptr[-1], dtype=INDEX_DTYPE)
+    idx += (lo - seg_ptr[:-1]).repeat(lengths)
+    return seg_ptr, nbr[idx], wgt[idx]
+
+
+def combined_adjacency(
+    out: Tuple[np.ndarray, np.ndarray, np.ndarray],
+    inn: Tuple[np.ndarray, np.ndarray, np.ndarray],
+) -> Tuple[IndexArray, IndexArray, WeightArray]:
+    """Per-row union of two CSR directions: row ``u`` = ``out_u ++ in_u``.
+
+    *out* and *inn* are ``(ptr, nbr, wgt)`` triples with the same row
+    count (a graph's ``out_adj`` / ``in_adj``, or a blockmodel's two
+    directions).  Entries are not deduplicated: the multinomial sampler
+    needs only weight-proportional selection, and ``M[u,:] ++ M[:,u]``
+    is exactly the distribution the reference implementation samples
+    from (Algorithm 1).
+    """
+    o_ptr, o_nbr, o_wgt = out
+    i_ptr, i_nbr, i_wgt = inn
+    o_len = o_ptr[1:] - o_ptr[:-1]
+    i_len = i_ptr[1:] - i_ptr[:-1]
+    ptr = np.zeros(len(o_len) + 1, dtype=INDEX_DTYPE)
+    np.cumsum(o_len + i_len, out=ptr[1:])
+    nbr = np.empty(ptr[-1], dtype=INDEX_DTYPE)
+    wgt = np.empty(ptr[-1], dtype=WEIGHT_DTYPE)
+    # each row's out entries go first, then its in entries
+    for src_ptr, src_nbr, src_wgt, lengths, base in (
+        (o_ptr, o_nbr, o_wgt, o_len, ptr[:-1]),
+        (i_ptr, i_nbr, i_wgt, i_len, ptr[:-1] + o_len),
+    ):
+        pos = np.arange(len(src_nbr), dtype=INDEX_DTYPE)
+        pos += (base - src_ptr[:-1]).repeat(lengths)
+        nbr[pos] = src_nbr
+        wgt[pos] = src_wgt
+    return ptr, nbr, wgt
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,8 @@ import json
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from .export import PathLike, _atomic_write_text, chrome_trace_events
+from ..atomicio import atomic_write_text
+from .export import PathLike, chrome_trace_events
 from .trace import Tracer
 
 __all__ = [
@@ -95,7 +96,7 @@ def merged_trace_text(payload: dict) -> str:
 def write_merged_trace(payload: dict, path: PathLike) -> Path:
     """Atomically write a merged trace payload to *path*."""
     path = Path(path)
-    _atomic_write_text(path, merged_trace_text(payload))
+    atomic_write_text(path, merged_trace_text(payload))
     return path
 
 

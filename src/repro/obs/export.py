@@ -8,13 +8,13 @@ a node-exporter textfile collector.  JSONL emits one self-describing
 JSON object per line — spans first, then metrics — for ad-hoc ``jq``
 analysis and log shipping.
 
-Every file writer here is atomic (temp file + ``os.replace`` in the
-destination directory, the same pattern as the checkpoint module): a
-scrape or tail that races an export never observes a half-written
-file.  :func:`validate_prometheus_text` checks an exposition page for
-format violations — spelling of ``NaN``/``+Inf``, label escaping,
-cumulative histogram buckets — so live-served scrapes can be asserted
-against the same rules the file exports obey.
+Every file writer here is atomic (:func:`repro.atomicio.atomic_write`,
+the writer the checkpoint module uses too): a scrape or tail that races
+an export never observes a half-written file.
+:func:`validate_prometheus_text` checks an exposition page for format
+violations — spelling of ``NaN``/``+Inf``, label escaping, cumulative
+histogram buckets — so live-served scrapes can be asserted against the
+same rules the file exports obey.
 """
 
 from __future__ import annotations
@@ -23,38 +23,14 @@ import json
 import math
 import os
 import re
-import tempfile
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
+from ..atomicio import atomic_write_text
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry, Series
 from .trace import Tracer
 
 PathLike = Union[str, os.PathLike]
-
-
-def _atomic_write_text(path: Path, text: str) -> None:
-    """Write *text* to *path* atomically (temp file + rename).
-
-    Same pattern as the checkpoint module (kept local — importing it
-    would drag the core/result import chain into the obs package).
-    """
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(
-        dir=str(path.parent), prefix=path.name + ".", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
 
 
 # ----------------------------------------------------------------------
@@ -148,7 +124,7 @@ def write_chrome_trace(
         "otherData": dict(metadata or {}),
     }
     path = Path(path)
-    _atomic_write_text(path, json.dumps(payload, indent=1))
+    atomic_write_text(path, json.dumps(payload, indent=1))
     return path
 
 
@@ -194,7 +170,7 @@ def write_jsonl(
     """Write one JSON object per line: spans first, then metrics."""
     path = Path(path)
     lines = [json.dumps(e, sort_keys=True) for e in jsonl_events(tracer, registry)]
-    _atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
+    atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
     return path
 
 
@@ -365,7 +341,7 @@ def write_prometheus(
     labels: Optional[Dict[str, object]] = None,
 ) -> Path:
     path = Path(path)
-    _atomic_write_text(
+    atomic_write_text(
         path, prometheus_text(registry, prefix=prefix, labels=labels)
     )
     return path

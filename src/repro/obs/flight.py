@@ -26,7 +26,8 @@ from collections import deque
 from pathlib import Path
 from typing import Callable, Deque, Dict, List, Optional, Union
 
-from .export import PathLike, _atomic_write_text
+from ..atomicio import atomic_write_text
+from .export import PathLike
 
 __all__ = ["FlightRecorder", "FLIGHT_RECORDER_SCHEMA"]
 
@@ -135,5 +136,5 @@ class FlightRecorder:
         lines = [json.dumps(header, sort_keys=True)]
         lines.extend(json.dumps(e, sort_keys=True, default=str)
                      for e in entries)
-        _atomic_write_text(path, "\n".join(lines) + "\n")
+        atomic_write_text(path, "\n".join(lines) + "\n")
         return path

@@ -27,8 +27,8 @@ import os
 from pathlib import Path
 from typing import List, Optional, Union
 
+from ..atomicio import atomic_write_text
 from ..envinfo import environment_fingerprint
-from .export import _atomic_write_text
 from .hub import Observability
 from .metrics import Histogram
 
@@ -387,7 +387,7 @@ def write_run_report(report: dict, path: PathLike) -> Path:
     """
     path = Path(path)
     if path.suffix.lower() == ".json":
-        _atomic_write_text(path, json.dumps(report, indent=2))
+        atomic_write_text(path, json.dumps(report, indent=2))
     else:
-        _atomic_write_text(path, run_report_markdown(report))
+        atomic_write_text(path, run_report_markdown(report))
     return path

@@ -60,6 +60,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
+from ..atomicio import atomic_write_text
 from ..envinfo import environment_fingerprint
 from ..errors import ReproError
 
@@ -302,12 +303,9 @@ def assert_valid(record, *, source: str = "bench record") -> dict:
 # i/o
 # ----------------------------------------------------------------------
 def write_record(record: dict, path: PathLike) -> Path:
-    """Validate and write a record as pretty-printed JSON."""
+    """Validate and write a record as pretty-printed JSON, crash-safely."""
     assert_valid(record, source=str(path))
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
-    return path
+    return atomic_write_text(path, json.dumps(record, indent=2) + "\n")
 
 
 def load_record(path: PathLike) -> dict:

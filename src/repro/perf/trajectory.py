@@ -20,6 +20,7 @@ from typing import Dict, List, Optional, Union
 
 import numpy as np
 
+from ..atomicio import atomic_write_text
 from .record import BenchRecordError, assert_valid
 
 PathLike = Union[str, os.PathLike]
@@ -96,11 +97,7 @@ def append_trajectory(
     if notes:
         entry["notes"] = notes
     trajectory["entries"].append(entry)
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(trajectory, indent=2) + "\n", encoding="utf-8"
-    )
+    atomic_write_text(path, json.dumps(trajectory, indent=2) + "\n")
     return trajectory
 
 

@@ -19,8 +19,8 @@ Fault classes
     Raises :class:`InjectedKernelFault` (a ``KernelLaunchError``) from
     ``Device.execute``.
 ``stream``
-    Raises :class:`InjectedStreamFault` (a ``DeviceError``) from
-    ``Stream.launch``.
+    Raises :class:`InjectedStreamFault` (a ``DeviceError``) just before
+    a cuRAND table launch (:mod:`repro.gpusim.curand`).
 ``bitflip``
     Does not raise; *silently* flips one bit of a corruptible structure
     exposed through :meth:`FaultInjector.on_corruptible` (CSR arrays,
@@ -53,6 +53,7 @@ device injector; see ``docs/distributed.md``)
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 from dataclasses import dataclass, field
@@ -285,6 +286,38 @@ class FaultPlan:
         return cls(faults=tuple(faults), seed=seed)
 
 
+def tick_fault_counters(
+    counters: Dict[tuple, int],
+    faults: Sequence[FaultSpec],
+    kind: str,
+    **filters: object,
+) -> List[Tuple[FaultSpec, int]]:
+    """Count one *kind* operation; return the ``(spec, index)`` that fire.
+
+    Each keyword names a :class:`FaultSpec` filter field and the
+    operation's value for it (``phase="vertex_move"``).  The operation
+    advances one counter per combination of "unfiltered" (``None``) and
+    that value, keyed ``(kind, *filter values)`` in *counters*, so a
+    spec counts only the operations its own filters match.  Fired specs
+    come back in plan order, whatever the hash seed.
+    """
+    names = tuple(filters)
+    choices = [(None,) if v is None else (None, v) for v in filters.values()]
+    index_of: Dict[tuple, int] = {}
+    for combo in itertools.product(*choices):
+        key = (kind,) + combo
+        index_of[combo] = counters.get(key, 0)
+        counters[key] = index_of[combo] + 1
+    fired: List[Tuple[FaultSpec, int]] = []
+    for spec in faults:
+        if spec.kind != kind:
+            continue
+        index = index_of.get(tuple(getattr(spec, n) for n in names))
+        if index is not None and spec.at <= index < spec.at + spec.count:
+            fired.append((spec, index))
+    return fired
+
+
 @dataclass
 class FaultLogEntry:
     """One fault that actually fired."""
@@ -299,26 +332,21 @@ class FaultInjector:
     """Counts device operations and fires the faults a plan schedules.
 
     Install with :func:`install_fault_injector` (or assign to
-    ``device.fault_injector``); the device and stream layers consult it
-    on every kernel launch.
+    ``device.fault_injector``); the device consults it on every kernel
+    launch, the cuRAND table builds once more before theirs.
     """
 
     def __init__(self, plan: FaultPlan) -> None:
         self.plan = plan
-        # one counter per (kind, phase-filter) so specs with a phase
-        # filter count only matching operations
-        self._counters: Dict[Tuple[str, Optional[str]], int] = {}
-        # corruption counters are keyed (kind, target-filter, phase-filter)
-        # so ``at=N`` indexes exposures of one specific structure
-        self._corruption_counters: Dict[
-            Tuple[str, Optional[str], Optional[str]], int
-        ] = {}
+        # launch counters are keyed (kind, phase-filter) and corruption
+        # counters (kind, target-filter, phase-filter), so ``at=N``
+        # indexes the operations a spec's own filters match
+        self._counters: Dict[tuple, int] = {}
         self.log: List[FaultLogEntry] = []
 
     # ------------------------------------------------------------------
     def reset(self) -> None:
         self._counters.clear()
-        self._corruption_counters.clear()
         self.log.clear()
 
     @property
@@ -332,22 +360,6 @@ class FaultInjector:
         return out
 
     # ------------------------------------------------------------------
-    def _tick(self, kind: str, phase: Optional[str]) -> List[Tuple[FaultSpec, int]]:
-        """Advance counters for *kind* at *phase*; return firing specs."""
-        fired: List[Tuple[FaultSpec, int]] = []
-        keys = {(kind, None)}
-        if phase is not None:
-            keys.add((kind, phase))
-        for key in keys:
-            index = self._counters.get(key, 0)
-            self._counters[key] = index + 1
-            for spec in self.plan.faults:
-                if spec.kind != kind or spec.phase != key[1]:
-                    continue
-                if spec.at <= index < spec.at + spec.count:
-                    fired.append((spec, index))
-        return fired
-
     def _record(self, spec: FaultSpec, index: int, phase: Optional[str],
                 detail: str) -> None:
         self.log.append(
@@ -361,7 +373,9 @@ class FaultInjector:
     def on_kernel(self, name: str, phase: Optional[str], nbytes: int) -> None:
         """Called by ``Device.execute`` before running a kernel body."""
         for kind in ("kernel", "oom"):
-            for spec, index in self._tick(kind, phase):
+            for spec, index in tick_fault_counters(
+                self._counters, self.plan.faults, kind, phase=phase
+            ):
                 if kind == "oom" and nbytes < spec.min_bytes:
                     continue
                 self._record(spec, index, phase, f"kernel {name!r}")
@@ -375,8 +389,10 @@ class FaultInjector:
                 )
 
     def on_stream_launch(self, name: str, phase: Optional[str]) -> None:
-        """Called by ``Stream.launch`` before enqueueing a kernel."""
-        for spec, index in self._tick("stream", phase):
+        """Called before each cuRAND table launch (``gpusim.curand``)."""
+        for spec, index in tick_fault_counters(
+            self._counters, self.plan.faults, "stream", phase=phase
+        ):
             self._record(spec, index, phase, f"stream kernel {name!r}")
             raise InjectedStreamFault(
                 f"injected stream failure at launch #{index} {name!r}"
@@ -385,25 +401,6 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # silent corruption
     # ------------------------------------------------------------------
-    def _tick_corruption(
-        self, kind: str, target: str, phase: Optional[str]
-    ) -> List[Tuple[FaultSpec, int]]:
-        """Advance corruption counters for (*kind*, *target*, *phase*)."""
-        fired: List[Tuple[FaultSpec, int]] = []
-        targets = {None, target}
-        phases = {None, phase} if phase is not None else {None}
-        for tgt in targets:
-            for phs in phases:
-                key = (kind, tgt, phs)
-                index = self._corruption_counters.get(key, 0)
-                self._corruption_counters[key] = index + 1
-                for spec in self.plan.faults:
-                    if spec.kind != kind or spec.target != tgt or spec.phase != phs:
-                        continue
-                    if spec.at <= index < spec.at + spec.count:
-                        fired.append((spec, index))
-        return fired
-
     @staticmethod
     def _corrupt_array(spec: FaultSpec, array: np.ndarray) -> str:
         """Apply one corruption in place; return a log detail string."""
@@ -434,7 +431,9 @@ class FaultInjector:
         if array.size == 0:
             return corrupted
         for kind in CORRUPTION_KINDS:
-            for spec, index in self._tick_corruption(kind, tag, phase):
+            for spec, index in tick_fault_counters(
+                self._counters, self.plan.faults, kind, target=tag, phase=phase
+            ):
                 detail = self._corrupt_array(spec, array)
                 self._record(spec, index, phase, f"{tag}: {detail}")
                 corrupted = True

@@ -22,6 +22,8 @@ from typing import Optional, Union
 
 import numpy as np
 
+from ..atomicio import atomic_write, atomic_write_text
+from ..checkpoint import _file_sha256, _verify_digests
 from ..config import SBPConfig
 from ..core.result import PartitionResult
 from ..errors import CheckpointError
@@ -191,21 +193,28 @@ def park_job(job: JobSpec, directory: PathLike) -> Path:
 
     The graph arrays land first (``parked.npz``), the manifest last
     (``parked.json``) — mirroring the run-checkpoint write protocol, so
-    a reader never observes a manifest without its payload.
+    a reader never observes a manifest without its payload.  Like a
+    run checkpoint, the manifest records the payload's content digest;
+    :func:`load_parked_job` raises
+    :class:`~repro.errors.CheckpointCorruptError` when it no longer
+    matches.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     adj = job.graph.out_adj
-    tmp = directory / (_PARKED_ARRAYS + ".tmp")
-    with open(tmp, "wb") as handle:
-        np.savez(
-            handle,
+    atomic_write(
+        directory / _PARKED_ARRAYS,
+        lambda h: np.savez(
+            h,
             ptr=np.asarray(adj.ptr, dtype=INDEX_DTYPE),
             nbr=np.asarray(adj.nbr, dtype=INDEX_DTYPE),
             wgt=np.asarray(adj.wgt),
-        )
-    os.replace(tmp, directory / _PARKED_ARRAYS)
+        ),
+    )
     manifest = {
+        "content_digests": {
+            _PARKED_ARRAYS: _file_sha256(directory / _PARKED_ARRAYS)
+        },
         "format_version": _PARKED_FORMAT,
         "kind": "gsap-parked-job",
         "job_id": job.job_id,
@@ -214,9 +223,9 @@ def park_job(job: JobSpec, directory: PathLike) -> Path:
         "deadline_s": job.deadline_s,
         "config": job.config.to_dict(),
     }
-    tmp = directory / (_PARKED_MANIFEST + ".tmp")
-    tmp.write_text(json.dumps(manifest, indent=2), encoding="utf-8")
-    os.replace(tmp, directory / _PARKED_MANIFEST)
+    atomic_write_text(
+        directory / _PARKED_MANIFEST, json.dumps(manifest, indent=2)
+    )
     return directory
 
 
@@ -249,6 +258,7 @@ def load_parked_job(directory: PathLike):
         raise CheckpointError(
             f"parked job under {directory} lost {_PARKED_ARRAYS}"
         )
+    _verify_digests(directory, manifest, "parked job")
     with np.load(arrays_path) as bundle:
         ptr = bundle["ptr"]
         nbr = bundle["nbr"]

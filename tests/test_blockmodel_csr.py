@@ -8,6 +8,7 @@ from conftest import graphs_with_partitions
 from repro.blockmodel.blockmodel import BlockmodelCSR
 from repro.blockmodel.dense import DenseBlockmodel
 from repro.errors import GraphValidationError
+from repro.graph.csr import gather_rows
 
 
 @pytest.fixture
@@ -92,31 +93,34 @@ class TestLookup:
 class TestGatherRows:
     def test_out_rows(self, paper_matrix):
         bm = BlockmodelCSR.from_dense(paper_matrix)
-        seg_ptr, cols, wgts = bm.gather_rows(np.array([2, 0]))
+        seg_ptr, cols, wgts = gather_rows(
+            bm.out_ptr, bm.out_nbr, bm.out_wgt, np.array([2, 0])
+        )
         np.testing.assert_array_equal(seg_ptr, [0, 2, 4])
         np.testing.assert_array_equal(cols, [1, 2, 0, 2])
         np.testing.assert_array_equal(wgts, [4, 2, 3, 5])
 
     def test_in_rows(self, paper_matrix):
         bm = BlockmodelCSR.from_dense(paper_matrix)
-        seg_ptr, srcs, wgts = bm.gather_rows(np.array([0]), "in")
+        seg_ptr, srcs, wgts = gather_rows(
+            bm.in_ptr, bm.in_nbr, bm.in_wgt, np.array([0])
+        )
         # column 0 of the matrix: entries from rows 0 (3) and 1 (2)
         np.testing.assert_array_equal(srcs, [0, 1])
         np.testing.assert_array_equal(wgts, [3, 2])
 
     def test_repeated_rows(self, paper_matrix):
         bm = BlockmodelCSR.from_dense(paper_matrix)
-        seg_ptr, cols, _ = bm.gather_rows(np.array([1, 1]))
+        seg_ptr, cols, _ = gather_rows(
+            bm.out_ptr, bm.out_nbr, bm.out_wgt, np.array([1, 1])
+        )
         np.testing.assert_array_equal(cols[:2], cols[2:])
-
-    def test_bad_direction(self, paper_matrix):
-        bm = BlockmodelCSR.from_dense(paper_matrix)
-        with pytest.raises(ValueError):
-            bm.gather_rows(np.array([0]), "sideways")
 
     def test_empty_row_batch(self, paper_matrix):
         bm = BlockmodelCSR.from_dense(paper_matrix)
-        seg_ptr, cols, wgts = bm.gather_rows(np.array([], dtype=np.int64))
+        seg_ptr, cols, wgts = gather_rows(
+            bm.out_ptr, bm.out_nbr, bm.out_wgt, np.array([], dtype=np.int64)
+        )
         np.testing.assert_array_equal(seg_ptr, [0])
         assert len(cols) == 0
 

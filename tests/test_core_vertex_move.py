@@ -8,25 +8,23 @@ from repro.blockmodel.entropy import description_length
 from repro.blockmodel.update import rebuild_blockmodel
 from repro.core.vertex_move import (
     build_move_context,
-    gather_adjacency_rows,
     move_context,
     run_vertex_move_phase,
 )
 from repro.gpusim.primitives import composite_keys
+from repro.graph.csr import gather_rows
 
 
 class TestGatherAdjacencyRows:
     def test_gathers_requested_rows(self, tiny_graph):
-        seg_ptr, nbr, wgt = gather_adjacency_rows(
-            tiny_graph.out_adj, np.array([1, 0])
-        )
+        seg_ptr, nbr, wgt = gather_rows(*tiny_graph.out_adj, np.array([1, 0]))
         np.testing.assert_array_equal(seg_ptr, [0, 2, 4])
         np.testing.assert_array_equal(nbr, [0, 3, 0, 2])
         np.testing.assert_array_equal(wgt, [2, 1, 3, 5])
 
     def test_empty_batch(self, tiny_graph):
-        seg_ptr, nbr, wgt = gather_adjacency_rows(
-            tiny_graph.out_adj, np.array([], dtype=np.int64)
+        seg_ptr, nbr, wgt = gather_rows(
+            *tiny_graph.out_adj, np.array([], dtype=np.int64)
         )
         np.testing.assert_array_equal(seg_ptr, [0])
 

@@ -96,19 +96,6 @@ class TestBuildLookupTables:
         assert len(tables.random_block) == 10
         assert len(tables.multinomial) == 2
 
-    def test_streams_overlap(self, dev, rng):
-        """The three builds run on concurrent streams: the recorded
-        makespan must be below the serial sum of the three kernels."""
-        ptr = np.array([0, 1, 2])
-        nbr = np.array([1, 0])
-        wgt = np.array([1, 1])
-        tables = build_lookup_tables(dev, rng, 10**6, 2, ptr, nbr, wgt)
-        serial = sum(
-            r.sim_time_s for r in dev.profiler.kernel_records
-            if r.name.startswith("curand")
-        )
-        assert tables.build_time_s < serial
-
     def test_determinism(self, dev):
         ptr = np.array([0, 1, 2])
         nbr = np.array([1, 0])

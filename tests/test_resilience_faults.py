@@ -13,6 +13,10 @@ against each phase it can hit, through three outcomes:
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,7 +40,7 @@ from repro.errors import (
     ReproError,
 )
 from repro.gpusim.device import A4000, Device, KernelCost
-from repro.gpusim.stream import Stream
+from repro.gpusim.curand import uniform_table
 from repro.resilience.faults import (
     InjectedKernelFault,
     InjectedMemoryFault,
@@ -50,6 +54,8 @@ from repro.resilience.retry import (
 )
 
 pytestmark = pytest.mark.faults
+
+SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
 
 
 # ----------------------------------------------------------------------
@@ -406,9 +412,42 @@ class TestInjectorHooks:
         install_fault_injector(
             device, FaultPlan(faults=(FaultSpec(kind="stream", at=0),))
         )
-        stream = Stream(device)
         with pytest.raises(InjectedStreamFault):
-            stream.launch("k", KernelCost(work_items=4), lambda: 1)
+            uniform_table(device, np.random.default_rng(0), 4)
+
+    def test_firing_order_ignores_hash_seed(self):
+        """Two specs reaching ``at`` on one launch fire in plan order.
+
+        The unfiltered spec counts launch #2 and the phase-filtered one
+        its own launch #1 on the same third launch; which one is logged
+        must not depend on ``PYTHONHASHSEED``.
+        """
+        script = (
+            "from repro.resilience.faults import *\n"
+            "inj = FaultInjector(FaultPlan(faults=(\n"
+            "    FaultSpec(kind='kernel', at=2),\n"
+            "    FaultSpec(kind='kernel', at=1, phase='vertex_move'))))\n"
+            "for phase in ('block_merge', 'vertex_move', 'vertex_move'):\n"
+            "    try:\n"
+            "        inj.on_kernel('k', phase, 0)\n"
+            "    except InjectedKernelFault:\n"
+            "        pass\n"
+            "print([(e.kind, e.op_index, e.phase) for e in inj.log])\n"
+        )
+        logs = []
+        for hash_seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                p for p in (SRC_DIR, env.get("PYTHONPATH")) if p
+            )
+            done = subprocess.run(
+                [sys.executable, "-c", script], capture_output=True,
+                text=True, env=env, timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            logs.append(done.stdout)
+        assert logs[0] == logs[1]
+        assert logs[0].strip() == "[('kernel', 2, 'vertex_move')]"
 
     def test_reset_clears_counters_and_log(self, device):
         injector = install_fault_injector(

@@ -11,7 +11,7 @@ import pytest
 
 from repro.config import SBPConfig
 from repro.core.partitioner import GSAPPartitioner
-from repro.errors import AdmissionRejected
+from repro.errors import AdmissionRejected, CheckpointCorruptError
 from repro.graph.datasets import load_dataset
 from repro.integrity import audit_blockmodel, reference_blockmodel
 from repro.resilience.faults import FaultPlan, FaultSpec
@@ -28,6 +28,7 @@ from repro.serve.degradation import (
     COARSE_THRESHOLD_FACTOR,
     MAX_LEVEL,
 )
+from repro.serve.job import JobSpec, park_job
 
 
 @pytest.fixture(scope="module")
@@ -373,6 +374,22 @@ class TestServerLifecycle:
         parked = [o for o in outcomes if o.status == "parked"]
         job_id, parked_graph, cfg = load_parked_job(parked[0].checkpoint_dir)
         assert parked_graph.num_vertices == graph.num_vertices
+
+    def test_parked_payload_is_digest_checked(self, graph, tmp_path):
+        job = JobSpec(
+            job_id="j1", graph=graph, config=SBPConfig(seed=3),
+            cache_key="k", work_bytes=0, submitted_at=0.0,
+        )
+        park_job(job, tmp_path)
+        job_id, parked_graph, _ = load_parked_job(tmp_path)
+        assert job_id == "j1"
+        assert parked_graph.num_edges == graph.num_edges
+        payload = tmp_path / "parked.npz"
+        data = bytearray(payload.read_bytes())
+        data[len(data) // 2] ^= 0x01
+        payload.write_bytes(bytes(data))
+        with pytest.raises(CheckpointCorruptError):
+            load_parked_job(tmp_path)
 
     def test_drain_shutdown_completes_everything(self, graph, graph2):
         async def run():
