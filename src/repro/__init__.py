@@ -81,7 +81,7 @@ from .graph import (
     load_edge_list,
     load_graph_with_truth,
 )
-from .gpusim import A4000, Device, get_default_device
+from .gpusim import A4000, Device
 from .metrics import ari, nmi, pairwise_scores
 from .obs import (
     MetricsRegistry,
@@ -145,7 +145,6 @@ __all__ = [
     "load_graph_with_truth",
     "A4000",
     "Device",
-    "get_default_device",
     "ari",
     "nmi",
     "pairwise_scores",

@@ -89,9 +89,6 @@ class EDiStPartitioner(CPUSBPEngine):
         into the interconnect.  Device fault kinds in the same plan are
         ignored here: the blockmodel kernels run on a private device
         that no plan reaches.
-    move_log_capacity:
-        Rounds of applied moves the replicated recovery log retains
-        before folding into its base snapshot.
     flight_dir:
         When set, a detected rank crash dumps the flight-recorder ring
         (recent round events + failure-detector verdict gossip) into
@@ -106,7 +103,6 @@ class EDiStPartitioner(CPUSBPEngine):
         num_ranks: int = 4,
         max_plateaus: int = 128,
         fault_plan: Optional[FaultPlan] = None,
-        move_log_capacity: int = 64,
         flight_dir: Optional[Union[str, os.PathLike]] = None,
     ) -> None:
         super().__init__(config, max_plateaus)
@@ -114,7 +110,6 @@ class EDiStPartitioner(CPUSBPEngine):
             raise PartitionError("num_ranks must be >= 1")
         self.num_ranks = num_ranks
         self.fault_plan = fault_plan
-        self.move_log_capacity = move_log_capacity
         self.flight_dir = None if flight_dir is None else Path(flight_dir)
         self.comm = DistStats()
         self.obs = Observability.from_config(self.config.observability)
@@ -269,7 +264,7 @@ class EDiStPartitioner(CPUSBPEngine):
         comm = self._runtime
         if comm is None:
             raise PartitionError("EDiSt move phase needs an active runtime")
-        ring = MoveLogRing(bmap, capacity=self.move_log_capacity)
+        ring = MoveLogRing(bmap)
 
         mdl = description_length(model, num_vertices, total_weight)
         tolerance = threshold * abs(initial_mdl_scale)

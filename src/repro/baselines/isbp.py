@@ -4,9 +4,8 @@ I-SBP integrates three published heuristics:
 
 * **sampling** (F-SBP, HPEC 2019): partition a vertex sample first, then
   extend the sample's labels to the full graph by neighbour plurality;
-* **hybrid MCMC / asynchronous Gibbs** (H-SBP, ICPP 2022): process the
-  most influential (highest-degree) vertices serially and the long tail
-  in parallel batches;
+* **hybrid MCMC / asynchronous Gibbs** (H-SBP, ICPP 2022): vertex moves
+  are evaluated in large asynchronous batches;
 * **aggressive merging** (Faster-SBP, HPEC 2021): a larger first-step
   block-count reduction to cut the number of outer iterations.
 
@@ -18,11 +17,8 @@ an accuracy/runtime trade the paper's Table 4 comments on.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
-from ..config import SBPConfig
 from ..core.result import PartitionResult
 from ..errors import PartitionError
 from ..graph.builder import build_graph
@@ -30,6 +26,11 @@ from ..graph.csr import DiGraphCSR
 from ..rng import make_rng
 from ..types import INDEX_DTYPE
 from .common import CPUSBPEngine
+
+#: share of the vertices partitioned in stage 1 (F-SBP's sample)
+SAMPLE_FRACTION = 0.5
+#: stage 1's block-count reduction rate (Faster-SBP's aggressive merge)
+AGGRESSIVE_RATE = 0.6
 
 
 def sample_subgraph(
@@ -106,38 +107,23 @@ class ISBPPartitioner(CPUSBPEngine):
 
     name = "I-SBP"
 
-    def __init__(
-        self,
-        config: Optional[SBPConfig] = None,
-        sample_fraction: float = 0.5,
-        aggressive_rate: float = 0.6,
-        influential_fraction: float = 0.05,
-        max_plateaus: int = 128,
-    ) -> None:
-        super().__init__(config, max_plateaus)
-        if not (0.0 < sample_fraction <= 1.0):
-            raise PartitionError("sample_fraction must be in (0, 1]")
-        self.sample_fraction = sample_fraction
-        self.aggressive_rate = aggressive_rate
-        self.influential_fraction = influential_fraction
-
     def move_batch_size(self, num_vertices: int) -> int:
         # H-SBP hybrid: large async batches for the bulk of vertices
         return max(1, num_vertices // 16)
 
     # ------------------------------------------------------------------
     def partition(self, graph: DiGraphCSR) -> PartitionResult:
-        if graph.num_vertices < 20 or self.sample_fraction >= 1.0:
+        if graph.num_vertices < 20:
             result = super().partition(graph)
             result.algorithm = self.name
             return result
         rng = make_rng(self.config.seed, "isbp", "sample")
-        sub, sampled = sample_subgraph(graph, self.sample_fraction, rng)
+        sub, sampled = sample_subgraph(graph, SAMPLE_FRACTION, rng)
 
         # Stage 1: full SBP on the sample with an aggressive merge rate.
         inner = CPUSBPEngine(
             self.config.replace(
-                num_blocks_reduction_rate=self.aggressive_rate,
+                num_blocks_reduction_rate=AGGRESSIVE_RATE,
                 seed=self.config.seed + 1,
             ),
             max_plateaus=self.max_plateaus,

@@ -56,14 +56,10 @@ class USAPPartitioner(CPUSBPEngine):
 
     name = "uSAP"
 
-    def __init__(self, *args, max_scc_fraction: float = 0.05, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.max_scc_fraction = max_scc_fraction
-
     def initial_partition(
         self, graph: DiGraphCSR, rng: np.random.Generator
     ) -> np.ndarray:
-        return scc_initial_partition(graph, self.max_scc_fraction)
+        return scc_initial_partition(graph)
 
     def move_batch_size(self, num_vertices: int) -> int:
         # dynamic batching: roughly 64 concurrent move tasks per wave

@@ -34,7 +34,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -78,15 +78,26 @@ def _file_sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _verify_digests(directory: Path, payload: dict, what: str) -> None:
+def _verify_digests(
+    directory: Path, payload: dict, what: str, required: Tuple[str, ...] = ()
+) -> None:
     """Check every manifest-recorded content digest under *directory*.
 
     Old manifests (no ``content_digests`` key) pass silently — the
-    digest is an integrity upgrade, not a compatibility break.
+    digest is an integrity upgrade, not a compatibility break.  A file
+    named in *required* (one the manifest's format always digests) must
+    carry a digest: a manifest without it was tampered with.
     """
     digests = payload.get("content_digests")
     if not isinstance(digests, dict):
-        return
+        digests = {}
+    for name in required:
+        if name not in digests:
+            raise CheckpointCorruptError(
+                f"{what} manifest under {directory} carries no content "
+                f"digest for {name} — refusing to deserialize",
+                path=str(directory / name),
+            )
     for name, expected in digests.items():
         path = directory / str(name)
         if not path.exists():
@@ -163,10 +174,13 @@ def load_result(directory: PathLike) -> PartitionResult:
     json_path = directory / "result.json"
     npy_path = directory / "partition.npy"
     payload = _read_json(json_path, "saved result")
-    _check_version(payload, _COMPAT_VERSIONS, "result")
+    version = _check_version(payload, _COMPAT_VERSIONS, "result")
     if not npy_path.exists():
         raise CheckpointError(f"saved result under {directory} lost partition.npy")
-    _verify_digests(directory, payload, "saved result")
+    _verify_digests(
+        directory, payload, "saved result",
+        required=("partition.npy",) if version >= 3 else (),
+    )
     try:
         partition = np.load(npy_path).astype(INDEX_DTYPE)
         timings = PhaseTimings(**payload["timings"])

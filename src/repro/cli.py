@@ -49,7 +49,12 @@ from .bench import (
     to_csv,
 )
 from .config import SBPConfig
-from .errors import CheckpointCorruptError, CheckpointError, IntegrityError
+from .errors import (
+    CheckpointCorruptError,
+    CheckpointError,
+    IntegrityError,
+    RetryExhaustedError,
+)
 from .graph.datasets import SIZES, normalize_category
 from .graph.generators import generate_category_graph
 from .graph.io import (
@@ -122,7 +127,7 @@ def _add_partition(sub: argparse._SubParsersAction) -> None:
     p.add_argument(
         "--fault-plan", metavar="FILE",
         help="JSON fault plan to inject into the simulated device "
-             "(chaos testing)",
+             "(chaos testing; GSAP only)",
     )
     p.add_argument(
         "--dist-ranks", type=int, default=4, metavar="N",
@@ -265,20 +270,22 @@ def _cmd_partition(args: argparse.Namespace) -> int:
         from .serve import CancelToken
 
         cancel = CancelToken(args.deadline_s, checkpoint_dir=args.checkpoint)
-    if args.fault_plan and is_edist:
+    if args.fault_plan and not is_gsap:
+        # the CPU engines run on a private device no plan reaches
+        hint = (
+            "; use --dist-fault-plan to inject faults into EDiSt's "
+            "interconnect" if is_edist else ""
+        )
         print(
-            "--fault-plan targets the simulated device; use "
-            "--dist-fault-plan to inject faults into EDiSt's interconnect",
+            f"--fault-plan is only supported for GSAP, not {args.algo}{hint}",
             file=sys.stderr,
         )
         return 2
     if args.fault_plan:
-        from .gpusim.device import get_default_device
         from .resilience import FaultPlan, install_fault_injector
 
         plan = FaultPlan.from_json_file(args.fault_plan)
-        device = getattr(partitioner, "device", None) or get_default_device()
-        install_fault_injector(device, plan)
+        install_fault_injector(partitioner.device, plan)
         print(f"installed fault plan with {len(plan)} fault(s)")
     t0 = time.perf_counter()
     try:
@@ -314,6 +321,9 @@ def _cmd_partition(args: argparse.Namespace) -> int:
         print(f"integrity failure: {err}", file=sys.stderr)
         for violation in err.violations:
             print(f"  {violation}", file=sys.stderr)
+        return 1
+    except RetryExhaustedError as err:
+        print(f"retries exhausted: {err}", file=sys.stderr)
         return 1
     elapsed = time.perf_counter() - t0
     print(f"algorithm      : {result.algorithm}")

@@ -103,16 +103,15 @@ class ObservabilityConfig:
         instrumented call site returns before touching any state, and a
         traced run produces a bit-identical partition to an untraced
         one (tracing never consumes RNG draws).
-    trace_kernels:
-        Bridge the simulated device's kernel launches into the tracer
-        as leaf spans (one span per launch; the dominant span volume).
 
-    With the hub enabled, the per-proposal ΔMDL histograms are always
-    recorded (one NumPy bucketing pass per MCMC batch and merge round).
+    With the hub enabled, the simulated device's kernel launches are
+    always bridged into the tracer as leaf spans (one span per launch;
+    the dominant span volume), and the per-proposal ΔMDL histograms are
+    always recorded (one NumPy bucketing pass per MCMC batch and merge
+    round).
     """
 
     enabled: bool = False
-    trace_kernels: bool = True
 
     def replace(self, **changes: object) -> "ObservabilityConfig":
         """Return a copy with *changes* applied."""
@@ -140,24 +139,20 @@ class IntegrityConfig:
         Attempt the self-healing repair ladder (targeted rebuild →
         dense rebuild → checkpoint restore) when an audit fails.  Off,
         a failed audit raises :class:`~repro.errors.IntegrityError`.
-    mdl_tol:
-        Relative tolerance when comparing the incrementally tracked MDL
-        against the recomputed-from-scratch value.
+
+    The tracked MDL is compared against the recomputed-from-scratch
+    value at :func:`~repro.integrity.auditor.audit_blockmodel`'s
+    relative tolerance.
     """
 
     audit: bool = False
     audit_every: int = 1
     repair: bool = False
-    mdl_tol: float = 1e-6
 
     def __post_init__(self) -> None:
         if self.audit_every < 1:
             raise ConfigError(
                 f"audit_every must be >= 1, got {self.audit_every!r}"
-            )
-        if self.mdl_tol < 0 or not math.isfinite(self.mdl_tol):
-            raise ConfigError(
-                f"mdl_tol must be >= 0 and finite, got {self.mdl_tol!r}"
             )
 
     def replace(self, **changes: object) -> "IntegrityConfig":

@@ -25,7 +25,7 @@ from ..graph.transforms import remove_self_loops
 from ..config import SBPConfig
 from ..errors import PartitionError
 from ..graph.csr import DiGraphCSR
-from ..gpusim.device import Device, get_default_device
+from ..gpusim.device import A4000, Device
 from ..types import IndexArray
 from .partitioner import GSAPPartitioner
 from .result import PartitionResult
@@ -87,7 +87,7 @@ class HierarchicalGSAP:
         if min_top_blocks < 1:
             raise PartitionError("min_top_blocks must be >= 1")
         self.config = config or SBPConfig()
-        self.device = device or get_default_device()
+        self.device = device or Device(A4000)
         self.max_levels = max_levels
         self.min_top_blocks = min_top_blocks
 

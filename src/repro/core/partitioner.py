@@ -50,7 +50,7 @@ from ..errors import (
     RunCancelled,
 )
 from ..graph.csr import DiGraphCSR
-from ..gpusim.device import Device, get_default_device
+from ..gpusim.device import A4000, Device
 from ..logging_util import get_logger
 from ..obs import Observability
 from ..resilience.retry import (
@@ -121,8 +121,8 @@ class GSAPPartitioner:
         controls retries, the fault budget, the degradation ladder, and
         checkpoint cadence.
     device:
-        Simulated device to execute on; defaults to the process-wide
-        A4000 model.
+        Simulated device to execute on; defaults to a fresh A4000 model
+        owned by this partitioner.
     max_plateaus:
         Safety cap on golden-section iterations (a run needs roughly
         ``log(V)`` of them; the default is generous).  Exhausting it
@@ -146,7 +146,7 @@ class GSAPPartitioner:
         observability: Optional[Observability] = None,
     ) -> None:
         self.config = config or SBPConfig()
-        self.device = device or get_default_device()
+        self.device = device or Device(A4000)
         self.max_plateaus = max_plateaus
         self.obs = observability or Observability.from_config(
             self.config.observability
@@ -654,7 +654,7 @@ class GSAPPartitioner:
             and cancel_reason is not None
             and cancel is not None
             and getattr(cancel, "checkpoint_dir", None) is not None
-            and plateaus >= max(1, getattr(cancel, "checkpoint_min_plateaus", 1))
+            and plateaus >= 1
         ):
             # The token carries a parking spot for cancelled runs that
             # crossed the progress threshold (the job server's per-job

@@ -29,7 +29,7 @@ from ..config import SBPConfig
 from ..errors import PartitionError
 from ..graph.csr import DiGraphCSR
 from ..graph.streaming import EdgeBatch, cumulative_graphs
-from ..gpusim.device import Device, get_default_device
+from ..gpusim.device import A4000, Device
 from ..integrity import IntegrityManager
 from ..resilience.retry import (
     FaultBudget,
@@ -96,7 +96,7 @@ class StreamingGSAP:
         if research_interval < 1:
             raise PartitionError("research_interval must be >= 1")
         self.config = config or SBPConfig()
-        self.device = device or get_default_device()
+        self.device = device or Device(A4000)
         self.research_interval = research_interval
         #: resilience stats of the warm (non-full-search) stages of the
         #: most recent :meth:`partition_stream` call

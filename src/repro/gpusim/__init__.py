@@ -11,8 +11,6 @@ from .device import (
     DeviceSpec,
     KernelCost,
     buffer_digest,
-    get_default_device,
-    set_default_device,
 )
 from .profiler import KernelRecord, PhaseSummary, Profiler
 from .curand import (
@@ -29,8 +27,6 @@ __all__ = [
     "Device",
     "DeviceSpec",
     "KernelCost",
-    "get_default_device",
-    "set_default_device",
     "KernelRecord",
     "PhaseSummary",
     "Profiler",

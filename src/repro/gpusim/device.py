@@ -184,20 +184,3 @@ class Device:
                 },
             )
         return result
-
-
-_default_device: Optional[Device] = None
-
-
-def get_default_device() -> Device:
-    """Process-wide default device (an A4000 model), created lazily."""
-    global _default_device
-    if _default_device is None:
-        _default_device = Device(A4000)
-    return _default_device
-
-
-def set_default_device(device: Optional[Device]) -> None:
-    """Override (or with ``None`` reset) the process-wide default device."""
-    global _default_device
-    _default_device = device

@@ -206,11 +206,7 @@ class IntegrityManager:
         violations.extend(
             str(v)
             for v in audit_blockmodel(
-                self.graph,
-                bmap,
-                blockmodel,
-                mdl_tol=self.config.mdl_tol,
-                tracked_mdl=tracked_mdl,
+                self.graph, bmap, blockmodel, tracked_mdl=tracked_mdl
             )
         )
         return violations, mismatches

@@ -83,7 +83,7 @@ class Observability:
         the previous tracer after), so kernel launches appear as leaf
         spans under the active phase span.
         """
-        if not self.enabled or not self.config.trace_kernels:
+        if not self.enabled:
             yield
             return
         previous = getattr(device, "tracer", None)

@@ -29,6 +29,8 @@ from ..errors import AdmissionRejected
 _DEFAULT_RETRY_AFTER_S = 1.0
 #: floor so rejected clients never busy-spin
 _MIN_RETRY_AFTER_S = 0.05
+#: smoothing factor of the service-time average behind ``retry_after_s``
+_EWMA_ALPHA = 0.3
 
 
 class AdmissionController:
@@ -41,9 +43,6 @@ class AdmissionController:
     max_inflight_bytes:
         Cap on summed graph work-bytes across accepted jobs; ``None``
         disables the byte gate.
-    ewma_alpha:
-        Smoothing factor of the service-time average feeding the
-        ``retry_after_s`` hint.
 
     Thread-safe: admission happens on the event loop, release on worker
     threads.
@@ -53,7 +52,6 @@ class AdmissionController:
         self,
         max_queue_depth: int = 16,
         max_inflight_bytes: Optional[int] = None,
-        ewma_alpha: float = 0.3,
     ) -> None:
         if max_queue_depth < 1:
             raise ValueError(
@@ -63,11 +61,8 @@ class AdmissionController:
             raise ValueError(
                 f"max_inflight_bytes must be >= 1, got {max_inflight_bytes!r}"
             )
-        if not (0.0 < ewma_alpha <= 1.0):
-            raise ValueError(f"ewma_alpha must lie in (0, 1], got {ewma_alpha!r}")
         self.max_queue_depth = max_queue_depth
         self.max_inflight_bytes = max_inflight_bytes
-        self._ewma_alpha = ewma_alpha
         self._lock = threading.Lock()
         self._depth = 0
         self._inflight_bytes = 0
@@ -130,9 +125,9 @@ class AdmissionController:
                 if self._service_ewma_s is None:
                     self._service_ewma_s = service_s
                 else:
-                    a = self._ewma_alpha
                     self._service_ewma_s = (
-                        a * service_s + (1.0 - a) * self._service_ewma_s
+                        _EWMA_ALPHA * service_s
+                        + (1.0 - _EWMA_ALPHA) * self._service_ewma_s
                     )
 
     def _reject(self, reason: str) -> None:

@@ -7,8 +7,8 @@ golden-section plateau and every MCMC sweep).  When the token is
 cancelled — explicitly, or because its deadline passed — the next check
 raises :class:`~repro.errors.RunCancelled`; the partitioner unwinds
 cleanly, releases its device context, persists a resumable checkpoint
-when the run made enough progress (``checkpoint_dir`` +
-``checkpoint_min_plateaus``), and returns the best partition found so
+when the run completed at least one plateau (``checkpoint_dir``), and
+returns the best partition found so
 far with :attr:`~repro.core.result.PartitionResult.cancelled` set.
 
 Tokens are safe to cancel from another thread (the job server cancels
@@ -51,11 +51,9 @@ class CancelToken:
     checkpoint_dir:
         Where the partitioner should persist a resumable run checkpoint
         if this token fires mid-run (``None`` skips persistence unless
-        the run has its own checkpoint directory).
-    checkpoint_min_plateaus:
-        Progress threshold: a cancelled run only writes the token's
-        checkpoint once at least this many plateaus completed (a run
-        cancelled before any real progress has nothing worth saving).
+        the run has its own checkpoint directory).  A cancelled run only
+        writes it once at least one plateau completed: a run cancelled
+        before any real progress has nothing worth saving.
     """
 
     def __init__(
@@ -64,15 +62,9 @@ class CancelToken:
         *,
         clock: Callable[[], float] = time.monotonic,
         checkpoint_dir: Optional[PathLike] = None,
-        checkpoint_min_plateaus: int = 1,
     ) -> None:
         if deadline_s is not None and deadline_s < 0:
             raise ValueError(f"deadline_s must be >= 0, got {deadline_s}")
-        if checkpoint_min_plateaus < 0:
-            raise ValueError(
-                f"checkpoint_min_plateaus must be >= 0, "
-                f"got {checkpoint_min_plateaus}"
-            )
         self._clock = clock
         self._lock = threading.Lock()
         self._cancelled = False
@@ -81,7 +73,6 @@ class CancelToken:
             clock() + deadline_s if deadline_s is not None else None
         )
         self.checkpoint_dir = checkpoint_dir
-        self.checkpoint_min_plateaus = checkpoint_min_plateaus
 
     # ------------------------------------------------------------------
     def cancel(self, reason: str = REASON_CANCELLED) -> None:

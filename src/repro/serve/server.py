@@ -61,7 +61,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from ..config import SBPConfig
 from ..core.partitioner import GSAPPartitioner
@@ -80,7 +80,7 @@ from ..logging_util import get_logger
 from ..obs import Observability
 from ..obs.export import prometheus_text, write_chrome_trace
 from ..obs.flight import FlightRecorder
-from ..obs.slo import BURN_WINDOWS, SLOEngine, SLOObjective, size_class_of
+from ..obs.slo import BURN_WINDOWS, SLOEngine, size_class_of
 from ..obs.trace import TraceContext, Tracer
 from ..resilience.faults import install_fault_injector
 from ..resilience.retry import FaultBudget, RetryPolicy, with_retries
@@ -122,12 +122,6 @@ class ServeConfig:
     retry_attempts / retry_base_delay_s / fault_budget:
         Job-level retry loop: total attempts, backoff base, and the
         per-job cap on absorbed faults (``None`` = uncapped).
-    checkpoint_min_plateaus:
-        Progress threshold below which a cancelled run is not worth a
-        checkpoint.
-    overload_*:
-        Sliding-window overload detector parameters
-        (see :class:`~repro.serve.degradation.OverloadDetector`).
     trace_dir:
         Directory per-job Chrome traces are written to (one
         ``<job_id>.trace.json`` per terminal job); ``None`` disables
@@ -138,9 +132,6 @@ class ServeConfig:
         the recorder in-memory only unless a dump names a path.
     flight_recorder_capacity:
         Ring-buffer size of the flight recorder.
-    slo_objectives:
-        Per-size-class :class:`~repro.obs.slo.SLOObjective` overrides;
-        ``None`` uses :data:`~repro.obs.slo.DEFAULT_OBJECTIVES`.
     """
 
     workers: int = 2
@@ -152,15 +143,9 @@ class ServeConfig:
     retry_attempts: int = 3
     retry_base_delay_s: float = 0.01
     fault_budget: Optional[int] = None
-    checkpoint_min_plateaus: int = 1
-    overload_window: int = 8
-    overload_high: float = 0.85
-    overload_low: float = 0.35
-    overload_cooldown_s: float = 1.0
     trace_dir: Optional[str] = None
     flight_dir: Optional[str] = None
     flight_recorder_capacity: int = 2048
-    slo_objectives: Optional[Tuple[SLOObjective, ...]] = None
 
     def __post_init__(self) -> None:
         if self.workers < 0:
@@ -223,16 +208,8 @@ class PartitionServer:
         self.cache = ResultCache(self.config.cache_capacity)
         self.singleflight = SingleFlight()
         self.ladder = DegradationLadder()
-        self.detector = OverloadDetector(
-            window=self.config.overload_window,
-            high_watermark=self.config.overload_high,
-            low_watermark=self.config.overload_low,
-            cooldown_s=self.config.overload_cooldown_s,
-            clock=clock,
-        )
-        self.slo = SLOEngine(
-            objectives=self.config.slo_objectives, clock=clock
-        )
+        self.detector = OverloadDetector(clock=clock)
+        self.slo = SLOEngine(clock=clock)
         self.flight = FlightRecorder(
             capacity=self.config.flight_recorder_capacity, clock=clock
         )
@@ -419,7 +396,6 @@ class PartitionServer:
                 deadline_s,
                 clock=self._clock,
                 checkpoint_dir=self._job_dir(job_id),
-                checkpoint_min_plateaus=self.config.checkpoint_min_plateaus,
             )
             future: "asyncio.Future[JobOutcome]" = (
                 asyncio.get_running_loop().create_future()

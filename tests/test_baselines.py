@@ -16,7 +16,6 @@ from repro.baselines import (
 )
 from repro.blockmodel.blockmodel import BlockmodelCSR
 from repro.config import SBPConfig
-from repro.errors import PartitionError
 from repro.graph.builder import build_graph
 from repro.graph.datasets import load_dataset
 from repro.metrics import nmi
@@ -171,10 +170,6 @@ class TestISBP:
         result = ISBPPartitioner(quick_config).partition(graph)
         assert result.algorithm == "I-SBP"
         assert nmi(result.partition, truth) > 0.5
-
-    def test_invalid_sample_fraction(self, quick_config):
-        with pytest.raises(PartitionError):
-            ISBPPartitioner(quick_config, sample_fraction=0.0)
 
     def test_small_graph_falls_back_to_plain_engine(self, quick_config):
         graph = build_graph([0, 1, 2], [1, 2, 0])

@@ -8,7 +8,7 @@ import pytest
 from repro.checkpoint import load_result, save_result
 from repro.core.result import PartitionResult
 from repro.core.state import PhaseTimings, ProposalStats
-from repro.errors import ReproError
+from repro.errors import CheckpointCorruptError, ReproError
 
 
 @pytest.fixture
@@ -79,3 +79,28 @@ class TestErrors:
         (tmp_path / "partition.npy").unlink()
         with pytest.raises(ReproError):
             load_result(tmp_path)
+
+    @pytest.mark.parametrize("strip", ["key", "entry"])
+    def test_stripped_digests_rejected(self, tmp_path, result, strip):
+        # format 3 always digests the partition, so a manifest without
+        # that digest cannot vouch for a (here: damaged) partition.npy
+        save_result(result, tmp_path)
+        payload = json.loads((tmp_path / "result.json").read_text())
+        if strip == "key":
+            del payload["content_digests"]
+        else:
+            payload["content_digests"] = {}
+        (tmp_path / "result.json").write_text(json.dumps(payload))
+        np.save(tmp_path / "partition.npy", np.array([2, 2, 2, 2, 2]))
+        with pytest.raises(CheckpointCorruptError, match="no content digest"):
+            load_result(tmp_path)
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_pre_digest_formats_still_load(self, tmp_path, result, version):
+        save_result(result, tmp_path)
+        payload = json.loads((tmp_path / "result.json").read_text())
+        payload["format_version"] = version
+        del payload["content_digests"]
+        (tmp_path / "result.json").write_text(json.dumps(payload))
+        loaded = load_result(tmp_path)
+        np.testing.assert_array_equal(loaded.partition, result.partition)

@@ -145,3 +145,41 @@ class TestPartitionBaselineAlgos:
         capsys.readouterr()
         assert main(["partition", str(edges), "--algo", "uSAP"]) == 0
         assert "uSAP" in capsys.readouterr().out
+
+
+class TestPartitionFaultPlan:
+    @pytest.fixture
+    def plan(self, tmp_path):
+        from repro.resilience import FaultPlan, FaultSpec
+
+        path = tmp_path / "plan.json"
+        FaultPlan(
+            faults=(FaultSpec(kind="kernel", at=0, count=10**6),)
+        ).save_json(path)
+        return path
+
+    @pytest.mark.parametrize("algo", ["reference", "uSAP", "I-SBP", "EDiSt"])
+    def test_rejected_for_cpu_engines(self, files, plan, algo, capsys):
+        # the CPU engines run on a private device no plan reaches, so
+        # accepting the flag would run them with no faults
+        edges = files[0]
+        code = main([
+            "partition", str(edges), "--algo", algo,
+            "--fault-plan", str(plan),
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "--fault-plan is only supported for GSAP" in captured.err
+        assert "installed fault plan" not in captured.out
+
+    def test_retries_exhausted_is_one_line(self, files, plan, capsys):
+        edges = files[0]
+        code = main([
+            "partition", str(edges), "--algo", "GSAP",
+            "--fault-plan", str(plan),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        lines = [ln for ln in err.splitlines() if "retries exhausted" in ln]
+        assert len(lines) == 1
+        assert "injected launch failure" in lines[0]

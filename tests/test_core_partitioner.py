@@ -1,5 +1,8 @@
 """Integration tests for the full GSAP partitioner."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,7 +10,9 @@ from repro.blockmodel.dense import DenseBlockmodel
 from repro.blockmodel.entropy import description_length
 from repro.blockmodel.update import UPDATE_PHASE
 from repro.config import SBPConfig
+from repro.core.hierarchy import HierarchicalGSAP
 from repro.core.partitioner import GSAPPartitioner, partition_graph
+from repro.core.streaming import StreamingGSAP
 from repro.graph.builder import build_graph
 from repro.graph.datasets import load_dataset
 from repro.gpusim.device import A4000, Device
@@ -134,6 +139,38 @@ class TestDeterminism:
         r2 = GSAPPartitioner(SBPConfig(seed=2, **base)).partition(graph)
         # MDLs are close but the trajectories are genuinely stochastic
         assert r1.history != r2.history
+
+
+class TestOwnDevice:
+    @pytest.mark.parametrize(
+        "engine", [GSAPPartitioner, StreamingGSAP, HierarchicalGSAP]
+    )
+    def test_each_instance_builds_its_own_device(self, engine):
+        a, b = engine(), engine()
+        assert a.device is not b.device
+        assert a.device.spec == A4000
+
+    def test_back_to_back_partitions_hold_memory_flat(self):
+        # a partitioner made without a device must leave nothing behind
+        # once its run returns: its device and the device's per-launch
+        # profiler go with it
+        graph, _ = load_dataset("low_low", 300, seed=0)
+        config = SBPConfig(
+            max_num_nodal_itr=30,
+            delta_entropy_threshold1=2e-3,
+            delta_entropy_threshold2=5e-4,
+            seed=4,
+        )
+        live_mib = []
+        tracemalloc.start()
+        try:
+            for _ in range(4):
+                GSAPPartitioner(config).partition(graph)
+                gc.collect()
+                live_mib.append(tracemalloc.get_traced_memory()[0] / 2**20)
+        finally:
+            tracemalloc.stop()
+        assert live_mib[-1] - live_mib[0] < 0.25, live_mib
 
 
 class TestEdgeCases:

@@ -6,11 +6,8 @@ import pytest
 from repro.errors import KernelLaunchError
 from repro.gpusim.device import (
     A4000,
-    DeviceSpec,
     Device,
     KernelCost,
-    get_default_device,
-    set_default_device,
 )
 
 
@@ -79,19 +76,3 @@ class TestExecute:
         dev = Device(A4000)
         dev.execute("k", KernelCost(1), lambda: None)
         assert dev.profiler.kernel_records[0].phase == "unphased"
-
-
-class TestDefaultDevice:
-    def test_lazy_singleton(self):
-        set_default_device(None)
-        a = get_default_device()
-        b = get_default_device()
-        assert a is b
-
-    def test_override(self):
-        custom = Device(DeviceSpec("custom", 10.0, 5e-6, 1.0e9))
-        set_default_device(custom)
-        try:
-            assert get_default_device() is custom
-        finally:
-            set_default_device(None)

@@ -90,23 +90,13 @@ class TestEnabledRecorders:
 
 class TestAttachDevice:
     def test_bridges_and_restores_tracer(self):
-        obs = Observability(
-            ObservabilityConfig(enabled=True, trace_kernels=True)
-        )
+        obs = Observability(ObservabilityConfig(enabled=True))
         device = FakeDevice()
         sentinel = object()
         device.tracer = sentinel
         with obs.attach_device(device):
             assert device.tracer is obs.tracer
         assert device.tracer is sentinel
-
-    def test_no_bridge_when_kernels_off(self):
-        obs = Observability(
-            ObservabilityConfig(enabled=True, trace_kernels=False)
-        )
-        device = FakeDevice()
-        with obs.attach_device(device):
-            assert device.tracer is None
 
     def test_no_bridge_when_disabled(self):
         obs = Observability(enabled=False)

@@ -121,9 +121,7 @@ class TestPartitionerCancellation:
                 super().check(where)
 
         ckpt = tmp_path / "cancelled-run"
-        token = FireAfterPlateaus(
-            3, checkpoint_dir=ckpt, checkpoint_min_plateaus=1
-        )
+        token = FireAfterPlateaus(3, checkpoint_dir=ckpt)
         partial = GSAPPartitioner(config).partition(graph, cancel=token)
         assert partial.cancelled == REASON_CANCELLED
         assert (ckpt / "run.json").exists(), "no checkpoint persisted"
@@ -137,9 +135,7 @@ class TestPartitionerCancellation:
 
     def test_below_progress_threshold_no_checkpoint(self, graph, tmp_path):
         ckpt = tmp_path / "no-progress"
-        token = CancelToken(
-            deadline_s=0.0, checkpoint_dir=ckpt, checkpoint_min_plateaus=1
-        )
+        token = CancelToken(deadline_s=0.0, checkpoint_dir=ckpt)
         result = GSAPPartitioner(SBPConfig(seed=3)).partition(
             graph, cancel=token
         )
