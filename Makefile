@@ -14,7 +14,8 @@ test:
 test-fast:
 	PYTHONPATH=src pytest tests/ -m "not slow"
 
-# byte-identity and ΔMDL oracles: golden partitions, dense-vs-batched
+# byte-identity and ΔMDL oracles: golden partitions (the two seed-0 5K
+# benchmark partitions among them, ~6 s), dense-vs-batched
 # deltas, Hastings correction, incremental-vs-rebuild blockmodels,
 # EDiSt golden partitions at 1/2/4 ranks, reference/uSAP/I-SBP golden
 # partitions, the shared CPU move and merge scoring vs the per-proposal

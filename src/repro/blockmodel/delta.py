@@ -30,6 +30,7 @@ Two implementations live here:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Tuple, Union
 
 import numpy as np
@@ -37,7 +38,7 @@ import numpy as np
 from ..errors import NumericalError
 from ..gpusim.device import Device, KernelCost
 from ..gpusim import primitives as prim
-from ..graph.csr import gather_rows
+from ..graph.csr import DiGraphCSR, gather_rows
 from ..types import FLOAT_DTYPE, INDEX_DTYPE
 from .blockmodel import BlockmodelCSR
 from .dense import DenseBlockmodel
@@ -48,6 +49,7 @@ __all__ = [
     "move_delta_dense",
     "hastings_correction_dense",
     "MoveDeltaContext",
+    "move_context",
     "precompute_block_term_sums",
     "merge_delta_batch",
     "merge_delta_cells",
@@ -283,8 +285,9 @@ def precompute_block_term_sums(
 
 
 def _xlogx(x: np.ndarray) -> np.ndarray:
-    """Elementwise ``x·ln x`` with ``0·ln 0 = 0`` (``x`` non-negative)."""
-    return x * np.log(np.where(x > 0, x, 1.0))
+    """Elementwise ``x·ln x`` with ``0·ln 0 = 0``, for counts ``x``
+    (non-negative integers: no entry lies strictly between 0 and 1)."""
+    return x * np.log(np.maximum(x, 1.0))
 
 
 def merge_delta_cells(
@@ -302,7 +305,8 @@ def merge_delta_cells(
     * column ``a``'s in-entries ``x = M[t,a]`` with ``y = M[t,c]``,
 
     for ``t ∉ {a,c}`` (the term is exactly 0 where ``y = 0``, so only
-    cells nonzero in both rows or both columns count), plus the
+    cells nonzero in both rows or both columns count, and the others
+    are dropped after the lookup), plus the
     ``{a,c}×{a,c}`` corner folding into one cell, minus the same
     expression over the two degree pairs.  Per direction the shorter
     of the two rows (columns) is gathered and its partner looked up;
@@ -337,9 +341,13 @@ def merge_delta_cells(
 
     own_o, t_o, x_o, partner_o = gather(bm.out_ptr, bm.out_nbr, bm.out_wgt)
     own_i, t_i, x_i, partner_i = gather(bm.in_ptr, bm.in_nbr, bm.in_wgt)
-    rows = np.concatenate((partner_o, t_i, a, a, c, c))
-    cols = np.concatenate((t_o, partner_i, a, c, a, c))
-    looked = bm.lookup(rows, cols).astype(FLOAT_DTYPE)
+    # M[partner, t] per out-cell, M[t, partner] per in-cell, the corners
+    b = bm.num_blocks
+    ab, cb = a * b, c * b
+    keys = np.concatenate(
+        (partner_o * b + t_o, t_i * b + partner_i, ab + a, ab + c, cb + a, cb + c)
+    )
+    looked = bm.lookup_keys(keys).astype(FLOAT_DTYPE)
     x = np.concatenate((x_o, x_i)).astype(FLOAT_DTYPE)
     y, corner = looked[: len(x)], looked[len(x):].reshape(4, -1)
     d_out = bm.deg_out.astype(FLOAT_DTYPE)
@@ -354,8 +362,11 @@ def merge_delta_cells(
                 "merge_delta_cells: negative or non-finite blockmodel "
                 "count — blockmodel counts are corrupt upstream of Eqs. 4-6"
             )
+    # a cell with y = 0 adds exactly +0.0, which leaves every sum as it is
+    nz = np.flatnonzero(y)
+    x, y = x[nz], y[nz]
     cells = _xlogx(x + y) - (_xlogx(x) + _xlogx(y))
-    seg = np.concatenate((own_o, own_i))
+    seg = np.concatenate((own_o, own_i))[nz]
     # bincount over zero cells returns int64
     gain = np.bincount(seg, weights=cells, minlength=len(mv)).astype(FLOAT_DTYPE)
     gain += _xlogx(corner.sum(axis=0)) - _xlogx(corner).sum(axis=0)
@@ -399,33 +410,167 @@ def merge_delta_batch(
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class MoveDeltaContext:
-    """Per-mover aggregated adjacency for a batch of vertex moves.
+    """Per-mover adjacency of a batch of vertex moves, keyed by
+    ``(mover, block)``.
 
-    Built by :func:`repro.core.vertex_move.move_context`; segment
-    ``i`` of the k-arrays holds mover ``i``'s out-(in-)edge weight per
-    *unique* neighbouring block, blocks ascending, self-loops excluded
-    and carried in :attr:`self_w`.  :attr:`kin_at_out` holds, per
-    out-entry, the mover's in-weight at the same block (0 where it has
-    none), and :attr:`kout_at_in` the reverse.
+    Built by :func:`move_context` against the batch-start assignment.
+    The entries whose :attr:`seg` is ``i``, in order, list the blocks
+    mover ``i`` has a non-self neighbour in, ascending,
+    once each: :attr:`w_out` is the mover's out-weight toward the block
+    and :attr:`w_in` its in-weight from it, either of which may be 0.
+    Self-loops are carried in :attr:`self_w`.  The ``edge_*`` arrays
+    keep the movers' non-self out-edges (mover index, neighbour vertex,
+    weight), from which the blockmodel update finds the edges between
+    two movers.  The per-direction views (``kout_*``, ``kin_*``) list a
+    mover's out- (in-) blocks alone; :attr:`kin_at_out` holds, per
+    out-entry, the mover's in-weight at the same block, and
+    :attr:`kout_at_in` the reverse.
     """
 
     r: np.ndarray  # current block per mover
     s: np.ndarray  # proposed block per mover
-    kout_ptr: np.ndarray
-    kout_blk: np.ndarray
-    kout_w: np.ndarray
-    kin_ptr: np.ndarray
-    kin_blk: np.ndarray
-    kin_w: np.ndarray
-    kin_at_out: np.ndarray
-    kout_at_in: np.ndarray
+    seg: np.ndarray  # the mover of every entry
+    blk: np.ndarray
+    w_out: np.ndarray
+    w_in: np.ndarray
     self_w: np.ndarray
     d_out_v: np.ndarray  # total out-degree of each mover (incl. self)
     d_in_v: np.ndarray
+    edge_seg: np.ndarray
+    edge_dst: np.ndarray
+    edge_w: np.ndarray
 
     @property
     def num_movers(self) -> int:
         return len(self.r)
+
+    def take(self, movers: np.ndarray) -> "MoveDeltaContext":
+        """The context of the movers *movers* selects (a boolean mask)."""
+        keep = np.asarray(movers, dtype=bool)
+        entries = keep[self.seg]
+        edges = keep[self.edge_seg]
+        renumber = np.cumsum(keep) - 1
+        return MoveDeltaContext(
+            r=self.r[keep], s=self.s[keep], seg=renumber[self.seg[entries]],
+            blk=self.blk[entries], w_out=self.w_out[entries],
+            w_in=self.w_in[entries], self_w=self.self_w[keep],
+            d_out_v=self.d_out_v[keep], d_in_v=self.d_in_v[keep],
+            edge_seg=renumber[self.edge_seg[edges]],
+            edge_dst=self.edge_dst[edges], edge_w=self.edge_w[edges],
+        )
+
+    def _direction(self, w: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        at = np.flatnonzero(w > 0)
+        counts = np.bincount(self.seg[at], minlength=self.num_movers)
+        ptr = np.zeros(self.num_movers + 1, dtype=INDEX_DTYPE)
+        np.cumsum(counts, out=ptr[1:])
+        return at, ptr
+
+    @cached_property
+    def _out(self) -> Tuple[np.ndarray, np.ndarray]:
+        return self._direction(self.w_out)
+
+    @cached_property
+    def _in(self) -> Tuple[np.ndarray, np.ndarray]:
+        return self._direction(self.w_in)
+
+    @property
+    def kout_ptr(self) -> np.ndarray:
+        return self._out[1]
+
+    @property
+    def kout_blk(self) -> np.ndarray:
+        return self.blk[self._out[0]]
+
+    @property
+    def kout_w(self) -> np.ndarray:
+        return self.w_out[self._out[0]]
+
+    @property
+    def kin_at_out(self) -> np.ndarray:
+        return self.w_in[self._out[0]]
+
+    @property
+    def kin_ptr(self) -> np.ndarray:
+        return self._in[1]
+
+    @property
+    def kin_blk(self) -> np.ndarray:
+        return self.blk[self._in[0]]
+
+    @property
+    def kin_w(self) -> np.ndarray:
+        return self.w_in[self._in[0]]
+
+    @property
+    def kout_at_in(self) -> np.ndarray:
+        return self.w_out[self._in[0]]
+
+
+def move_context(
+    graph: DiGraphCSR,
+    bmap: np.ndarray,
+    vertices: np.ndarray,
+    proposals: np.ndarray,
+) -> MoveDeltaContext:
+    """Aggregate every mover's adjacency by block against *bmap*.
+
+    Both directions of the movers' adjacency are keyed by ``(mover,
+    block)`` and aggregated in one sort, so each block a mover touches
+    becomes one entry carrying its out- and its in-weight.  Segment
+    ``i`` of the result is ``vertices[i]``'s neighbourhood: the same
+    blocks (ascending), weights, self-loop weight and degrees a
+    per-vertex aggregation would give.  This is the host body of
+    :func:`build_move_context`.
+    """
+    vertices = np.asarray(vertices, dtype=INDEX_DTYPE)
+    p = len(vertices)
+    span = int(bmap.max()) + 1 if len(bmap) else 1
+    movers = np.arange(p, dtype=INDEX_DTYPE)
+    o_ptr, o_nbr, o_w = gather_rows(*graph.out_adj, vertices)
+    i_ptr, i_nbr, i_w = gather_rows(*graph.in_adj, vertices)
+    o_seg = movers.repeat(o_ptr[1:] - o_ptr[:-1])
+    i_seg = movers.repeat(i_ptr[1:] - i_ptr[:-1])
+    d_out_v = np.bincount(o_seg, weights=o_w, minlength=p)
+    d_in_v = np.bincount(i_seg, weights=i_w, minlength=p)
+    o_self = o_nbr == vertices[o_seg]
+    self_w = np.bincount(o_seg[o_self], weights=o_w[o_self], minlength=p)
+    o_keep = ~o_self
+    i_keep = i_nbr != vertices[i_seg]
+    e_seg, e_dst, e_w = o_seg[o_keep], o_nbr[o_keep], o_w[o_keep]
+    i_seg, i_w = i_seg[i_keep], i_w[i_keep]
+    seg = np.concatenate((e_seg, i_seg))
+    blk = np.concatenate((bmap[e_dst], bmap[i_nbr[i_keep]]))
+    keys = prim.composite_keys(seg, blk, (0, span))
+    # the weights are integers, summed exactly: equal keys may come out
+    # of the sort in any order
+    order, keys = prim.sort_keys(keys)
+    heads = np.empty(len(keys), dtype=bool)
+    heads[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=heads[1:])
+    first = order[heads]
+    entries = len(first)
+    # the (mover, block) entry of every gathered edge, out-edges first
+    at = np.empty(len(order), dtype=INDEX_DTYPE)
+    at[order] = np.cumsum(heads) - 1
+    n_out = len(e_w)
+    # bincount over no entries returns int64
+    w_out = np.bincount(at[:n_out], weights=e_w, minlength=entries)
+    w_in = np.bincount(at[n_out:], weights=i_w, minlength=entries)
+    return MoveDeltaContext(
+        r=bmap[vertices].astype(INDEX_DTYPE),
+        s=np.asarray(proposals, dtype=INDEX_DTYPE),
+        seg=seg[first],
+        blk=blk[first],
+        w_out=w_out.astype(FLOAT_DTYPE),
+        w_in=w_in.astype(FLOAT_DTYPE),
+        self_w=self_w,
+        d_out_v=d_out_v,
+        d_in_v=d_in_v,
+        edge_seg=e_seg,
+        edge_dst=e_dst,
+        edge_w=e_w,
+    )
 
 
 def _require_counts(*arrays: np.ndarray) -> None:
@@ -456,18 +601,21 @@ def move_delta_hastings(
     {r,s}`` and the four corners ``{r,s}×{r,s}``.
 
     H is the Hastings correction ``p_backward / p_forward`` of
-    :mod:`repro.core.mh`, summed over the union of the mover's out- and
-    in-entries (self-loop weight excluded, as in the reference
+    :mod:`repro.core.mh`, summed over the mover's out-entries and then
+    its in-entries (self-loop weight excluded, as in the reference
     implementation); the backward term reads the post-move cells
     ``M'[r,t]``, ``M'[t,r]`` and degrees ``d'[t]``.
 
-    Both come from one lookup: ``M[r,t]``, ``M[s,t]``, ``M[t,r]`` and
-    ``M[t,s]`` for every (mover, t) entry, and the four corners per
-    mover; ΔS takes its subset of those cells.  Movers with ``r == s``
-    get ΔS = 0 and H = 1, and so does a mover with no non-self
-    neighbours.  All movers are evaluated against the same frozen
-    blockmodel — the asynchronous-Gibbs semantics of the vertex-move
-    phase.
+    Both come from one lookup of ``M[r,t]``, ``M[s,t]``, ``M[t,r]`` and
+    ``M[t,s]`` per (mover, t) entry — once for a block that is both an
+    out- and an in-neighbour — and of the four corners per mover; ΔS
+    takes its subset of those cells.  Every per-mover sum adds its
+    terms in the same order (out-entries, then in-entries, then the
+    corners); a term of weight 0 adds exactly 0.  Movers with
+    ``r == s`` get ΔS = 0 and H = 1, and so does a mover with no
+    non-self neighbours.  All movers are evaluated against the same
+    frozen blockmodel — the asynchronous-Gibbs semantics of the
+    vertex-move phase.
 
     This is the host body of :func:`move_delta_batch`; it needs only
     ``bm.lookup``, the degree arrays and ``bm.num_blocks``, so the
@@ -478,53 +626,54 @@ def move_delta_hastings(
     p = ctx.num_movers
     b = bm.num_blocks
     moving = r != s
-    movers = np.arange(p, dtype=INDEX_DTYPE)
-    out_seg = np.repeat(movers, ctx.kout_ptr[1:] - ctx.kout_ptr[:-1])
-    in_seg = np.repeat(movers, ctx.kin_ptr[1:] - ctx.kin_ptr[:-1])
-    kout_w = ctx.kout_w.astype(FLOAT_DTYPE)
-    kin_w = ctx.kin_w.astype(FLOAT_DTYPE)
-
-    # each mover's k-arrays hold a block at most once, so a masked
-    # bincount reads off its weight toward r and toward s
-    def weight_to(seg, blk, w, target):
-        hit = blk == target[seg]
-        return np.bincount(seg[hit], weights=w[hit], minlength=p)
-
-    kout_r = weight_to(out_seg, ctx.kout_blk, kout_w, r)
-    kout_s = weight_to(out_seg, ctx.kout_blk, kout_w, s)
-    kin_r = weight_to(in_seg, ctx.kin_blk, kin_w, r)
-    kin_s = weight_to(in_seg, ctx.kin_blk, kin_w, s)
+    seg = ctx.seg
     self_w = ctx.self_w.astype(FLOAT_DTYPE)
 
-    # every entry of a moving mover, out-entries first: neighbour block
-    # t, weight w, and the mover's k_out[t] and k_in[t]
-    keep_o = moving[out_seg]
-    keep_i = moving[in_seg]
-    n_out = int(keep_o.sum())
-    seg = np.concatenate((out_seg[keep_o], in_seg[keep_i]))
-    t = np.concatenate((ctx.kout_blk[keep_o], ctx.kin_blk[keep_i]))
-    w = np.concatenate((kout_w[keep_o], kin_w[keep_i]))
-    k_out_t = np.concatenate((w[:n_out], ctx.kout_at_in[keep_i]))
-    k_in_t = np.concatenate((ctx.kin_at_out[keep_o], w[n_out:]))
+    # each mover holds a block at most once, so its weights toward r and
+    # toward s are single entries
+    def weights_at(target):
+        at = np.flatnonzero(ctx.blk == target[seg])
+        k_out = np.zeros(p, dtype=FLOAT_DTYPE)
+        k_in = np.zeros(p, dtype=FLOAT_DTYPE)
+        k_out[seg[at]] = ctx.w_out[at]
+        k_in[seg[at]] = ctx.w_in[at]
+        return k_out, k_in
+
+    kout_r, kin_r = weights_at(r)
+    kout_s, kin_s = weights_at(s)
+
+    # the entries of moving movers: neighbour block t, the mover's
+    # out-weight wo and in-weight wi toward t
+    keep = np.flatnonzero(moving[seg])
+    seg = seg[keep]
+    t = ctx.blk[keep]
+    wo = ctx.w_out[keep]
+    wi = ctx.w_in[keep]
     r_e, s_e = r[seg], s[seg]
     n = len(t)
     mv = np.flatnonzero(moving)
     rm, sm = r[mv], s[mv]
 
-    rows = np.concatenate((r_e, s_e, t, t, rm, rm, sm, sm))
-    cols = np.concatenate((t, t, r_e, s_e, rm, sm, rm, sm))
-    looked = bm.lookup(rows, cols).astype(FLOAT_DTYPE)
+    # M[r,t], M[s,t], M[t,r], M[t,s] per entry, then the corners
+    tb, rb, sb = t * b, rm * b, sm * b
+    keys = np.concatenate((
+        r_e * b + t, s_e * b + t, tb + r_e, tb + s_e,
+        rb + rm, rb + sm, sb + rm, sb + sm,
+    ))
+    looked = bm.lookup_keys(keys).astype(FLOAT_DTYPE)
     m_rt, m_st, m_tr, m_ts = looked[: 4 * n].reshape(4, n)
 
     # ΔS: the off-corner out-entries' row cells and in-entries' column
     # cells, then the corners (r,r), (r,s), (s,r), (s,s) shifted as in
     # _move_new_rows_cols_dense
-    off = (t != r_e) & (t != s_e)
-    so = np.flatnonzero(off[:n_out])
-    si = n_out + np.flatnonzero(off[n_out:])
+    is_r = t == r_e
+    is_s = t == s_e
+    off = ~(is_r | is_s)
+    so = np.flatnonzero(off & (wo > 0))
+    si = np.flatnonzero(off & (wi > 0))
     old = np.concatenate((m_rt[so], m_st[so], m_tr[si], m_ts[si], looked[4 * n:]))
     shift = np.concatenate((
-        -w[so], w[so], -w[si], w[si],
+        -wo[so], wo[so], -wi[si], wi[si],
         -(kout_r + kin_r + self_w)[mv],
         (kin_r - kout_s)[mv],
         (kout_r - kin_s)[mv],
@@ -553,33 +702,33 @@ def move_delta_hastings(
 
     # H: forward over the current blockmodel, backward over the post-move
     # entries M'[r,t] = M[r,t] − k_out[t] + [t=r](−k_in[r] − self) +
-    # [t=s] k_in[r], M'[t,r] likewise with out and in swapped
+    # [t=s] k_in[r], M'[t,r] likewise with out and in swapped; every
+    # count is an integer, so these sums are exact in any order
     deg_tot = (bm.deg_out + bm.deg_in).astype(FLOAT_DTYPE)
-    fwd_terms = w * (m_ts + m_st + 1.0) / (deg_tot[t] + b)
-    p_fwd = np.bincount(seg, weights=fwd_terms, minlength=p)
-    is_r = t == r_e
-    is_s = t == s_e
-    m_rt_new = (
-        m_rt
-        - k_out_t
-        + np.where(is_r, -(kin_r[seg] + self_w[seg]), 0.0)
-        + np.where(is_s, kin_r[seg], 0.0)
-    )
-    m_tr_new = (
-        m_tr
-        - k_in_t
-        + np.where(is_r, -(kout_r[seg] + self_w[seg]), 0.0)
-        + np.where(is_s, kout_r[seg], 0.0)
-    )
+    deg_t = deg_tot[t]
+    fwd = (m_ts + m_st + 1.0, deg_t + b)
+    at_r = np.flatnonzero(is_r)
+    at_s = np.flatnonzero(is_s)
+    m_rt_new = m_rt - wo
+    m_rt_new[at_r] -= kin_r[seg[at_r]] + self_w[seg[at_r]]
+    m_rt_new[at_s] += kin_r[seg[at_s]]
+    m_tr_new = m_tr - wi
+    m_tr_new[at_r] -= kout_r[seg[at_r]] + self_w[seg[at_r]]
+    m_tr_new[at_s] += kout_r[seg[at_s]]
     _require_counts(m_rt_new, m_tr_new)
     d_v_tot = (ctx.d_out_v + ctx.d_in_v).astype(FLOAT_DTYPE)
-    deg_new_t = (
-        deg_tot[t]
-        + np.where(is_s, d_v_tot[seg], 0.0)
-        - np.where(is_r, d_v_tot[seg], 0.0)
+    deg_t[at_s] += d_v_tot[seg[at_s]]
+    deg_t[at_r] -= d_v_tot[seg[at_r]]
+    bwd = (m_tr_new + m_rt_new + 1.0, deg_t + b)
+    # out-entries' terms, then in-entries'; a 0 weight adds exactly 0
+    both = np.concatenate((seg, seg))
+    p_fwd, p_bwd = (
+        np.bincount(
+            both, weights=np.concatenate((wo * num / den, wi * num / den)),
+            minlength=p,
+        )
+        for num, den in (fwd, bwd)
     )
-    bwd_terms = w * (m_tr_new + m_rt_new + 1.0) / (deg_new_t + b)
-    p_bwd = np.bincount(seg, weights=bwd_terms, minlength=p)
     hastings = np.ones(p, dtype=FLOAT_DTYPE)
     valid = (p_fwd > 0) & (p_bwd > 0)
     hastings[valid] = p_bwd[valid] / p_fwd[valid]
@@ -593,7 +742,8 @@ def move_delta_batch(
     phase: Optional[str] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """:func:`move_delta_hastings` as one ``move_delta_hastings`` launch."""
-    work = 4 * (len(ctx.kout_blk) + len(ctx.kin_blk)) + 4 * ctx.num_movers
+    entries = int(np.count_nonzero(ctx.w_out) + np.count_nonzero(ctx.w_in))
+    work = 4 * entries + 4 * ctx.num_movers
     return device.execute(
         "move_delta_hastings",
         KernelCost(max(work, 1), ops_per_item=12.0),

@@ -68,6 +68,10 @@ class DenseBlockmodel:
         """Vectorized ``M[rows[i], cols[i]]``, as :meth:`BlockmodelCSR.lookup`."""
         return self.matrix[rows, cols]
 
+    def lookup_keys(self, keys: np.ndarray) -> WeightArray:
+        """:meth:`lookup` of the composite keys ``row·B + col``."""
+        return self.matrix.reshape(-1)[keys]
+
     # ------------------------------------------------------------------
     # in-place mutations (the per-move update of the reference
     # implementation, kept as an oracle)

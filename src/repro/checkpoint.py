@@ -53,8 +53,10 @@ PathLike = Union[str, os.PathLike]
 _FORMAT_VERSION = 3
 _COMPAT_VERSIONS = (1, 2, 3)
 
-#: run.json (mid-run snapshot) format.
-RUN_FORMAT_VERSION = 1
+#: run.json (mid-run snapshot) format: 2 requires the state file's
+#: content digest (1, written before that requirement, is still readable).
+RUN_FORMAT_VERSION = 2
+_RUN_COMPAT_VERSIONS = (1, 2)
 _RUN_MANIFEST = "run.json"
 
 
@@ -343,7 +345,7 @@ def load_run_checkpoint(directory: PathLike) -> RunCheckpoint:
     """Load the latest complete run checkpoint under *directory*."""
     directory = Path(directory)
     payload = _read_json(directory / _RUN_MANIFEST, "run checkpoint")
-    _check_version(payload, (RUN_FORMAT_VERSION,), "run checkpoint")
+    version = _check_version(payload, _RUN_COMPAT_VERSIONS, "run checkpoint")
     if payload.get("kind") != "gsap-run":
         raise CheckpointError(
             f"{directory / _RUN_MANIFEST} is not a gsap-run checkpoint"
@@ -354,7 +356,10 @@ def load_run_checkpoint(directory: PathLike) -> RunCheckpoint:
             f"run checkpoint under {directory} lost its state file "
             f"{payload.get('state_file')!r}"
         )
-    _verify_digests(directory, payload, "run checkpoint")
+    _verify_digests(
+        directory, payload, "run checkpoint",
+        required=(state_path.name,) if version >= 2 else (),
+    )
     try:
         with np.load(state_path) as bundle:
             snapshots: List[Optional[PartitionSnapshot]] = []

@@ -165,6 +165,8 @@ class IntegrityManager:
         if expose:
             for tag, array in arrays.items():
                 injector.on_corruptible(tag, array, phase)
+            # the lookup cache must show what the arrays hold now
+            blockmodel.drop_lookup_cache()
         if not audit:
             return blockmodel
         self._sites_seen += 1

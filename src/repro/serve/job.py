@@ -47,7 +47,10 @@ JOB_STATUSES = (
 
 _PARKED_MANIFEST = "parked.json"
 _PARKED_ARRAYS = "parked.npz"
-_PARKED_FORMAT = 1
+#: parked.json format: 2 requires the digest of parked.npz (1, written
+#: before that requirement, is still readable).
+_PARKED_FORMAT = 2
+_PARKED_COMPAT_FORMATS = (1, 2)
 
 
 def graph_work_bytes(graph: DiGraphCSR) -> int:
@@ -248,17 +251,18 @@ def load_parked_job(directory: PathLike):
         ) from exc
     if manifest.get("kind") != "gsap-parked-job":
         raise CheckpointError(f"{manifest_path} is not a parked job")
-    if manifest.get("format_version") != _PARKED_FORMAT:
-        raise CheckpointError(
-            f"unsupported parked-job format "
-            f"{manifest.get('format_version')!r}"
-        )
+    version = manifest.get("format_version")
+    if version not in _PARKED_COMPAT_FORMATS:
+        raise CheckpointError(f"unsupported parked-job format {version!r}")
     arrays_path = directory / _PARKED_ARRAYS
     if not arrays_path.exists():
         raise CheckpointError(
             f"parked job under {directory} lost {_PARKED_ARRAYS}"
         )
-    _verify_digests(directory, manifest, "parked job")
+    _verify_digests(
+        directory, manifest, "parked job",
+        required=(_PARKED_ARRAYS,) if version >= 2 else (),
+    )
     with np.load(arrays_path) as bundle:
         ptr = bundle["ptr"]
         nbr = bundle["nbr"]

@@ -70,3 +70,18 @@ def test_gsap_output_matches_golden(case):
         _config(seed), device=Device(A4000)
     ).partition(graph)
     assert output_sha256(result.partition, result.mdl) == golden
+
+
+#: category -> sha256 of the seed-0 5K-vertex partition, the inputs and
+#: settings of the repo benchmark's ``gsap-*-5k`` workloads
+GOLDEN_5K = {
+    "low_low": "483de42939e3493df897719afd0b98214fa915f0b59cd5a53414511b97b29d6e",
+    "high_high": "598b36ca001f324112a5cdf8432c782e140327fc8cde54884a28f59c1c31d5e6",
+}
+
+
+@pytest.mark.parametrize("category", sorted(GOLDEN_5K))
+def test_gsap_5k_output_matches_golden(category):
+    graph, _ = load_dataset(category, 5_000, 0)
+    result = GSAPPartitioner(_config(0), device=Device(A4000)).partition(graph)
+    assert output_sha256(result.partition, result.mdl) == GOLDEN_5K[category]

@@ -32,7 +32,7 @@ from repro.checkpoint import (
 )
 from repro.core.result import PartitionResult
 from repro.core.state import PartitionSnapshot, PhaseTimings, ProposalStats
-from repro.errors import CheckpointError
+from repro.errors import CheckpointCorruptError, CheckpointError
 from repro.graph.builder import build_graph
 from repro.gpusim.device import A4000, Device
 from repro.resilience.retry import ResilienceStats
@@ -161,6 +161,34 @@ class TestRunCheckpointValidation:
             state.unlink()
         with pytest.raises(CheckpointError, match="state file"):
             load_run_checkpoint(tmp_path)
+
+    @pytest.mark.parametrize("strip", ["key", "entry"])
+    def test_stripped_digests_rejected(self, tmp_path, run_state, strip):
+        # format 2 always digests the state file, so a manifest without
+        # that digest cannot vouch for a (here: damaged) state file
+        save_run_checkpoint(run_state, tmp_path)
+        payload = json.loads((tmp_path / "run.json").read_text())
+        if strip == "key":
+            del payload["content_digests"]
+        else:
+            payload["content_digests"] = {}
+        (tmp_path / "run.json").write_text(json.dumps(payload))
+        state = tmp_path / payload["state_file"]
+        with np.load(state) as bundle:
+            arrays = {k: bundle[k] for k in bundle.files}
+        arrays["snap0"] = np.zeros_like(arrays["snap0"])
+        np.savez(state, **arrays)
+        with pytest.raises(CheckpointCorruptError, match="no content digest"):
+            load_run_checkpoint(tmp_path)
+
+    def test_pre_digest_format_still_loads(self, tmp_path, run_state):
+        save_run_checkpoint(run_state, tmp_path)
+        payload = json.loads((tmp_path / "run.json").read_text())
+        payload["format_version"] = 1
+        del payload["content_digests"]
+        (tmp_path / "run.json").write_text(json.dumps(payload))
+        loaded = load_run_checkpoint(tmp_path)
+        assert loaded.plateau == run_state.plateau
 
     def test_incomplete_manifest_is_checkpoint_error(self, tmp_path, run_state):
         """A manifest missing keys surfaces as CheckpointError, not KeyError."""

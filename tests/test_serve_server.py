@@ -6,7 +6,9 @@ event loop with ``asyncio.run``.
 """
 
 import asyncio
+import json
 
+import numpy as np
 import pytest
 
 from repro.config import SBPConfig
@@ -390,6 +392,42 @@ class TestServerLifecycle:
         payload.write_bytes(bytes(data))
         with pytest.raises(CheckpointCorruptError):
             load_parked_job(tmp_path)
+
+    @pytest.mark.parametrize("strip", ["key", "entry"])
+    def test_parked_stripped_digests_rejected(self, graph, tmp_path, strip):
+        # format 2 always digests parked.npz, so a manifest without that
+        # digest cannot vouch for a (here: reweighted) payload
+        job = JobSpec(
+            job_id="j1", graph=graph, config=SBPConfig(seed=3),
+            cache_key="k", work_bytes=0, submitted_at=0.0,
+        )
+        park_job(job, tmp_path)
+        manifest = json.loads((tmp_path / "parked.json").read_text())
+        if strip == "key":
+            del manifest["content_digests"]
+        else:
+            manifest["content_digests"] = {}
+        (tmp_path / "parked.json").write_text(json.dumps(manifest))
+        with np.load(tmp_path / "parked.npz") as bundle:
+            arrays = {k: bundle[k] for k in bundle.files}
+        arrays["wgt"] = arrays["wgt"] * 7
+        np.savez(tmp_path / "parked.npz", **arrays)
+        with pytest.raises(CheckpointCorruptError, match="no content digest"):
+            load_parked_job(tmp_path)
+
+    def test_parked_pre_digest_format_still_loads(self, graph, tmp_path):
+        job = JobSpec(
+            job_id="j1", graph=graph, config=SBPConfig(seed=3),
+            cache_key="k", work_bytes=0, submitted_at=0.0,
+        )
+        park_job(job, tmp_path)
+        manifest = json.loads((tmp_path / "parked.json").read_text())
+        manifest["format_version"] = 1
+        del manifest["content_digests"]
+        (tmp_path / "parked.json").write_text(json.dumps(manifest))
+        job_id, parked_graph, _ = load_parked_job(tmp_path)
+        assert job_id == "j1"
+        assert parked_graph.num_edges == graph.num_edges
 
     def test_drain_shutdown_completes_everything(self, graph, graph2):
         async def run():
